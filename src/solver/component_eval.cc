@@ -1,14 +1,15 @@
 #include "solver/component_eval.h"
 
-#include <algorithm>
-#include <cassert>
-
-#include "obs/trace.h"
-#include "solver/rule_table.h"
-#include "solver/unfounded.h"
+#include "solver/warm_component.h"
 
 namespace gsls::solver {
 
+namespace {
+
+/// Direct 3-valued evaluation of a non-recursive atom: every body literal
+/// refers to a lower component, so its value is final, and the atom is
+/// just the disjunction of its rules' body conjunctions. O(rules) with no
+/// fixpoint machinery — this is the hot path on stratified chains.
 TruthValue EvalNonRecursiveAtom(const GroundProgram& gp, AtomId atom,
                                 const TruthTape& values,
                                 const std::vector<uint8_t>* disabled,
@@ -41,221 +42,38 @@ TruthValue EvalNonRecursiveAtom(const GroundProgram& gp, AtomId atom,
   return out;
 }
 
-namespace {
-
-/// Drives one recursive component to its local well-founded fixpoint:
-/// watched-counter truth propagation alternating with source-pointer
-/// unfounded-set floods, writing decided atoms straight into the global
-/// tape. Undecided atoms at quiescence are undefined.
-class ComponentSolver {
- public:
-  ComponentSolver(const GroundProgram& gp, const AtomDependencyGraph& graph,
-                  uint32_t comp, const std::vector<uint8_t>* disabled,
-                  TruthTape* values, SolverDiagnostics* diag,
-                  CancelCtx* cancel)
-      : table_(gp, graph, comp, *values, disabled, cancel), support_(&table_),
-        values_(values), diag_(diag), cancel_(cancel) {}
-
-  /// False iff a cancellation checkpoint aborted the pass mid-component;
-  /// the tape then holds partial writes for this component (the caller
-  /// restores them — see `SolveComponent`).
-  bool Run() {
-    // A trip during rule compilation left an empty table and an untouched
-    // tape: abort exactly as at the component's entry checkpoint.
-    if (table_.aborted()) return false;
-    diag_->rules_visited += table_.rule_count();
-
-    // Initial support closure on the pristine component; atoms with no
-    // possible support (e.g. pure positive loops) fall out immediately.
-    std::vector<LocalAtom> unfounded;
-    if (!support_.InitSources(&unfounded, cancel_)) return false;
-    diag_->unfounded_falsified += unfounded.size();
-    for (LocalAtom a : unfounded) SetFalse(a);
-
-    // Rules whose compiled body is empty are already satisfied.
-    for (LocalRule r = 0; r < table_.rule_count(); ++r) {
-      if (!table_.rule(r).dead && table_.rule(r).unsat == 0) {
-        SetTrue(table_.rule(r).head);
-      }
-    }
-
-    // Component-local alternating fixpoint: exhaust truth/false
-    // propagation, then fold the next greatest-unfounded layer in, until
-    // both are quiescent. The two phases trace as separate spans so a
-    // timeline shows where a slow component spends its time.
-    while (true) {
-      {
-        GSLS_TRACE_SPAN("component.lfp", table_.rule_count());
-        if (!Propagate()) return false;
-      }
-      if (!support_.HasPending()) break;
-      ++diag_->alternating_rounds;
-      unfounded.clear();
-      {
-        GSLS_TRACE_SPAN("component.unfounded", support_.floods());
-        if (!support_.CollectUnfounded(&unfounded, cancel_)) return false;
-      }
-      diag_->unfounded_falsified += unfounded.size();
-      for (LocalAtom a : unfounded) SetFalse(a);
-    }
-    diag_->unfounded_floods += support_.floods();
-    diag_->flood_sizes.MergeFrom(support_.flood_sizes());
-    return true;
-  }
-
- private:
-  void SetTrue(LocalAtom a) {
-    AtomId g = table_.GlobalAtom(a);
-    if (values_->IsTrue(g)) return;
-    // A rule fires only with a wholly true body, which never includes an
-    // unfounded atom, so a fired head cannot have been falsified.
-    assert(!values_->IsFalse(g));
-    values_->SetTrue(g);
-    support_.OnAtomTrue(a);
-    true_queue_.push_back(a);
-  }
-
-  void SetFalse(LocalAtom a) {
-    AtomId g = table_.GlobalAtom(a);
-    if (values_->IsFalse(g)) return;
-    assert(!values_->IsTrue(g));
-    values_->SetFalse(g);
-    false_queue_.push_back(a);
-  }
-
-  void Kill(LocalRule r) {
-    CompiledRule& rule = table_.rule(r);
-    if (rule.dead) return;
-    rule.dead = true;
-    support_.OnRuleDead(r);
-  }
-
-  bool Propagate() {
-    // The lfp loop is the worst-case-quadratic interior of a dense SCC:
-    // strided polling bounds abort latency to `kCancelStride` pops.
-    StridedCheckpoint tick(cancel_);
-    while (!true_queue_.empty() || !false_queue_.empty()) {
-      if (tick.Tick()) return false;
-      if (!true_queue_.empty()) {
-        LocalAtom a = true_queue_.back();
-        true_queue_.pop_back();
-        for (LocalRule r : table_.PositiveOccurrences(a)) {
-          CompiledRule& rule = table_.rule(r);
-          if (!rule.dead && --rule.unsat == 0) SetTrue(rule.head);
-        }
-        // `not a` is now false: those rules are unusable for good.
-        for (LocalRule r : table_.NegativeOccurrences(a)) Kill(r);
-      } else {
-        LocalAtom a = false_queue_.back();
-        false_queue_.pop_back();
-        for (LocalRule r : table_.PositiveOccurrences(a)) Kill(r);
-        // `not a` is now satisfied.
-        for (LocalRule r : table_.NegativeOccurrences(a)) {
-          CompiledRule& rule = table_.rule(r);
-          if (!rule.dead && --rule.unsat == 0) SetTrue(rule.head);
-        }
-      }
-    }
-    return true;
-  }
-
-  RuleTable table_;
-  SourceTracker support_;
-  TruthTape* values_;
-  SolverDiagnostics* diag_;
-  CancelCtx* cancel_;
-  std::vector<LocalAtom> true_queue_;
-  std::vector<LocalAtom> false_queue_;
-};
-
 }  // namespace
-
-bool SolveRecursiveComponent(const GroundProgram& gp,
-                             const AtomDependencyGraph& graph, uint32_t comp,
-                             const std::vector<uint8_t>* disabled,
-                             TruthTape* values, SolverDiagnostics* diag,
-                             CancelCtx* cancel) {
-  return ComponentSolver(gp, graph, comp, disabled, values, diag, cancel)
-      .Run();
-}
 
 bool SolveComponent(const GroundProgram& gp, const AtomDependencyGraph& graph,
                     uint32_t comp, const std::vector<uint8_t>* disabled,
                     TruthTape* values, StageTape* stages,
                     SolverDiagnostics* diag, CancelCtx* cancel) {
-  // The uniform component-boundary checkpoint: every schedule (sequential,
-  // parallel, up-cone, down-cone) funnels through here, so "one checkpoint
-  // per component processed" holds at any thread count — which is also
-  // what makes the fault injector's checkpoint numbering deterministic.
+  if (graph.IsRecursive(comp)) {
+    // The warm store's from-scratch solve, without the retained-rule
+    // metadata and discarded on return: one copy of the per-component
+    // fixpoint for cold and warm re-solves alike.
+    return WarmComponent().SolveFromScratch(gp, graph, comp, disabled, values,
+                                            stages, diag, cancel,
+                                            /*persist=*/false);
+  }
+  // The uniform component-boundary checkpoint: every schedule funnels
+  // through here (or through the warm entry points, which poll the same
+  // way), so "one checkpoint per component processed" holds at any thread
+  // count — which is also what makes the fault injector's checkpoint
+  // numbering deterministic.
   if (cancel != nullptr && cancel->Checkpoint()) return false;
-  if (!graph.IsRecursive(comp)) {
-    // Singleton without a self-loop: one 3-valued pass over its rules.
-    AtomId a = graph.Atoms(comp)[0];
-    switch (EvalNonRecursiveAtom(gp, a, *values, disabled,
-                                 &diag->rules_visited)) {
-      case TruthValue::kTrue: values->SetTrue(a); break;
-      case TruthValue::kFalse: values->SetFalse(a); break;
-      case TruthValue::kUndefined: break;
-    }
-  } else {
-    GSLS_TRACE_SPAN("solve.component", comp);
-    ++diag->recursive_components;
-    if (graph.HasInternalNegation(comp)) ++diag->negation_components;
-    if (!SolveRecursiveComponent(gp, graph, comp, disabled, values, diag,
-                                 cancel)) {
-      // Abort invariant ("fully old or fully new"): erase the partial
-      // writes so the component reads exactly as on entry — all
-      // undefined. Stages were not touched (reconstruction runs only
-      // after values finalize).
-      for (AtomId a : graph.Atoms(comp)) values->SetUndefined(a);
-      return false;
-    }
+  // Singleton without a self-loop: one 3-valued pass over its rules.
+  AtomId a = graph.Atoms(comp)[0];
+  switch (EvalNonRecursiveAtom(gp, a, *values, disabled,
+                               &diag->rules_visited)) {
+    case TruthValue::kTrue: values->SetTrue(a); break;
+    case TruthValue::kFalse: values->SetFalse(a); break;
+    case TruthValue::kUndefined: break;
   }
   if (stages != nullptr) {
     ReconstructComponentStages(gp, graph, comp, disabled, *values, stages);
   }
   return true;
-}
-
-uint32_t SolveAllComponentsInto(const GroundProgram& gp,
-                                const AtomDependencyGraph& graph,
-                                const std::vector<uint8_t>* disabled,
-                                TruthTape* values, StageTape* stages,
-                                SolverDiagnostics* diag, CancelCtx* cancel) {
-  values->Assign(gp.atom_count());
-  if (stages != nullptr) stages->Assign(gp.atom_count());
-  diag->component_count = graph.component_count();
-  for (uint32_t c = 0; c < graph.component_count(); ++c) {
-    diag->max_component_size =
-        std::max(diag->max_component_size,
-                 static_cast<uint32_t>(graph.Atoms(c).size()));
-    if (!SolveComponent(gp, graph, c, disabled, values, stages, diag,
-                        cancel)) {
-      return c;
-    }
-  }
-  return graph.component_count();
-}
-
-WfsModel SolveAllComponents(const GroundProgram& gp,
-                            const AtomDependencyGraph& graph,
-                            const std::vector<uint8_t>* disabled,
-                            bool compute_levels, SolverDiagnostics* diag,
-                            CancelCtx* cancel) {
-  TruthTape values;
-  StageTape stages;
-  SolveAllComponentsInto(gp, graph, disabled, &values,
-                         compute_levels ? &stages : nullptr, diag, cancel);
-  WfsModel out;
-  out.model = values.ToInterpretation();
-  out.iterations = static_cast<uint32_t>(diag->alternating_rounds);
-  if (cancel != nullptr) out.outcome = cancel->outcome();
-  if (compute_levels) {
-    out.true_stage = std::move(stages.true_stage);
-    out.false_stage = std::move(stages.false_stage);
-    out.has_levels = true;
-  }
-  return out;
 }
 
 }  // namespace gsls::solver

@@ -13,50 +13,25 @@
 
 namespace gsls::solver {
 
-/// The per-component evaluation primitives of `SolveWfs`, factored out so
-/// the full solver, the delta-driven `IncrementalSolver`, and the parallel
-/// scheduler (solver/parallel.h) run the exact same machinery. Every entry
-/// point takes an optional `disabled` mask (one byte per `RuleId`; nonzero
-/// = the rule does not exist for this solve), which is how retracted facts
-/// are hidden without rebuilding the `GroundProgram`.
+/// The per-component evaluation step of `SolveWfs`, shared by every
+/// `ConeExecutor` pass (solver/parallel.h) so the full solver, the
+/// delta-driven `IncrementalSolver`, and the threaded schedule run the
+/// exact same machinery. It takes an optional `disabled` mask (one byte per
+/// `RuleId`; nonzero = the rule does not exist for this solve), which is
+/// how retracted facts are hidden without rebuilding the `GroundProgram`.
 ///
 /// All evaluation reads and writes a `TruthTape` — the flat byte-per-atom
 /// model store — rather than the bit-packed `Interpretation`: one load per
 /// atom on the hot path, and disjoint components touch disjoint bytes, so
 /// workers finalizing different components never share a memory location.
-
-/// Direct 3-valued evaluation of a non-recursive atom: every body literal
-/// refers to a lower component, so its value is final, and the atom is
-/// just the disjunction of its rules' body conjunctions. O(rules) with no
-/// fixpoint machinery — this is the hot path on stratified chains.
-TruthValue EvalNonRecursiveAtom(const GroundProgram& gp, AtomId atom,
-                                const TruthTape& values,
-                                const std::vector<uint8_t>* disabled,
-                                uint64_t* rules_visited);
-
-/// Drives one recursive component to its local well-founded fixpoint:
-/// watched-counter truth propagation alternating with source-pointer
-/// unfounded-set floods, writing decided atoms straight into `*values`.
-/// Undecided atoms at quiescence are undefined. Every atom of the
-/// component must be undefined in `*values` on entry; lower components
-/// must be final.
 ///
-/// With a non-null `cancel`, the propagation and flood loops poll it every
-/// `kCancelStride` steps; false means the solve aborted mid-component and
-/// the tape may hold partial writes for this component's atoms — the
-/// caller must restore them (which `SolveComponent` does).
-bool SolveRecursiveComponent(const GroundProgram& gp,
-                             const AtomDependencyGraph& graph, uint32_t comp,
-                             const std::vector<uint8_t>* disabled,
-                             TruthTape* values, SolverDiagnostics* diag,
-                             CancelCtx* cancel = nullptr);
-
 /// Solves component `comp` into `*values` (dispatching on
 /// `graph.IsRecursive`), assuming its atoms are undefined and all lower
-/// components final. The single-component step shared by `SolveWfs`, the
-/// incremental up-cone re-solve, and the parallel scheduler's workers
-/// (each worker passes its own private `diag`; see
-/// `SolverDiagnostics::MergeFrom`).
+/// components final. Each worker passes its own private `diag` (see
+/// `SolverDiagnostics::MergeFrom`). A non-recursive singleton is one
+/// 3-valued pass over its rules; a recursive component runs the
+/// watched-counter least fixpoint alternating with source-pointer
+/// unfounded-set floods.
 ///
 /// When `stages` is non-null, the component's global V_P stage levels are
 /// reconstructed into it right after its values finalize
@@ -76,33 +51,6 @@ bool SolveComponent(const GroundProgram& gp, const AtomDependencyGraph& graph,
                     uint32_t comp, const std::vector<uint8_t>* disabled,
                     TruthTape* values, StageTape* stages,
                     SolverDiagnostics* diag, CancelCtx* cancel = nullptr);
-
-/// Sequential SCC-stratified solve over an already-built condensation:
-/// every component in dependency order, into `*values` (which is re-sized
-/// and reset to all-undefined), with V_P stages into `*stages` when
-/// non-null (re-sized and reset likewise). The deterministic single-thread
-/// schedule.
-///
-/// Returns the first component left unsolved — `graph.component_count()`
-/// on a completed pass. A non-null `cancel` can abort between (and inside)
-/// components; components at or above the returned index keep their
-/// all-undefined reset state.
-uint32_t SolveAllComponentsInto(const GroundProgram& gp,
-                                const AtomDependencyGraph& graph,
-                                const std::vector<uint8_t>* disabled,
-                                TruthTape* values, StageTape* stages,
-                                SolverDiagnostics* diag,
-                                CancelCtx* cancel = nullptr);
-
-/// `SolveAllComponentsInto` plus conversion of the tape into the public
-/// `WfsModel` (including `WfsModel::outcome` when `cancel` is attached).
-/// `SolveWfs` is this plus graph construction; `IncrementalSolver` calls
-/// it for `SolveFresh` baselines.
-WfsModel SolveAllComponents(const GroundProgram& gp,
-                            const AtomDependencyGraph& graph,
-                            const std::vector<uint8_t>* disabled,
-                            bool compute_levels, SolverDiagnostics* diag,
-                            CancelCtx* cancel = nullptr);
 
 }  // namespace gsls::solver
 

@@ -51,9 +51,8 @@ namespace gsls::solver {
 /// its new id; merged and dirty members are dropped). Splits have no map
 /// and drop the window wholesale.
 ///
-/// Thread-safety: none. The parallel query/up-cone passes read validity
-/// before the barrier and write it after — see the call sites in
-/// incremental.cc.
+/// Thread-safety: none. Passes read validity before a threaded schedule
+/// starts and write it after its barrier (`IncrementalSolver::SettlePass`).
 class ComponentMemo {
  public:
   /// Lifetime counters for diagnostics and the serving-layer telemetry.
@@ -145,10 +144,7 @@ class ComponentMemo {
   void ApplyRepair(const CondensationRepair& rep,
                    uint32_t new_component_count);
 
-  void CountHit() { ++stats_.hits; }
-  void CountMiss() { ++stats_.misses; }
-  /// Bulk forms for the parallel query pass, which tallies hits/misses
-  /// once after the barrier instead of per component.
+  /// Tallied once per query pass, after the schedule's barrier.
   void CountHits(uint64_t n) { stats_.hits += n; }
   void CountMisses(uint64_t n) { stats_.misses += n; }
   const Stats& stats() const { return stats_; }

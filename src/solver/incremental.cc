@@ -1,7 +1,6 @@
 #include "solver/incremental.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <ostream>
 
@@ -305,23 +304,10 @@ void IncrementalSolver::EnsureGraph() {
   }
 }
 
-void IncrementalSolver::EnsureParallelRuntime() {
-  if (dag_ == nullptr) {
-    dag_ = std::make_unique<solver::ComponentDag>(gp_, cond_->graph(),
-                                                  &disabled_);
-    pending_dag_edges_.clear();  // a fresh build already covers them
-  } else {
-    FlushPendingDagEdges();
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<WorkStealingPool>(threads_);
-  }
-}
-
 void IncrementalSolver::SyncMirror(uint32_t comp) {
   // SyncMirror runs for exactly the components a pass (re)finalized, so it
   // doubles as the resolve log's append point (always on the owner thread:
-  // parallel passes call it from the post-barrier merge loop).
+  // `SettlePass` runs after the schedule's barrier).
   const bool log = resolve_log_enabled_ && !resolve_log_.all_atoms;
   for (AtomId a : cond_->graph().Atoms(comp)) {
     if (log) {
@@ -335,135 +321,280 @@ void IncrementalSolver::SyncMirror(uint32_t comp) {
   }
 }
 
-const WfsModel& IncrementalSolver::Model() {
-  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
-  if (!solved_) {
-    GSLS_TRACE_SPAN("solve.full", gp_.atom_count());
-    const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
-    EnsureGraph();
-    CancelCtx* cancel = BeginCancelPass();
-    const uint64_t rounds_before = diag_.alternating_rounds;
-    const uint32_t ncomp = cond_->graph().component_count();
-    // Grown before the pass so per-component validity marks are in range
-    // even when the pass aborts partway.
-    memo_.Grow(ncomp);
-    bool aborted = false;
-    if (threads_ > 1) {
-      EnsureParallelRuntime();
-      std::vector<uint8_t> solved_comps;
-      solver::ParallelSolveAllComponentsInto(
-          gp_, cond_->graph(), *dag_, &disabled_, pool_.get(), &tape_, stages,
-          &diag_, cancel, cancel != nullptr ? &solved_comps : nullptr);
-      aborted = cancel != nullptr && cancel->aborted();
-      if (aborted) {
-        // Abort bookkeeping: finalized components are exact (memo-valid);
-        // the rest kept their all-undefined reset state and queue — by
-        // stable representative atom — for the next pass to resume.
-        for (uint32_t c = 0; c < ncomp; ++c) {
-          if (solved_comps[c] != 0) {
-            memo_.MarkValid(c);
-          } else {
-            memo_.Invalidate(c);
-            stale_reps_.push_back(cond_->graph().Atoms(c)[0]);
-          }
-        }
-      }
-    } else {
-      uint32_t first_unsolved = solver::SolveAllComponentsInto(
-          gp_, cond_->graph(), &disabled_, &tape_, stages, &diag_, cancel);
-      aborted = first_unsolved != ncomp;
-      if (aborted) {
-        // Sequential order makes the split a prefix: [0, first_unsolved)
-        // finalized, everything at or above stayed all-undefined.
-        for (uint32_t c = 0; c < ncomp; ++c) {
-          if (c < first_unsolved) {
-            memo_.MarkValid(c);
-          } else {
-            memo_.Invalidate(c);
-            stale_reps_.push_back(cond_->graph().Atoms(c)[0]);
-          }
-        }
-      }
+bool IncrementalSolver::SolveEligibleComponent(uint32_t c,
+                                               solver::StageTape* stages,
+                                               SolverDiagnostics* diag,
+                                               CancelCtx* cancel) {
+  const AtomDependencyGraph& graph = cond_->graph();
+  std::span<const AtomId> atoms = graph.Atoms(c);
+  const AtomId rep = atoms[0];
+  solver::WarmComponent* warm = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(warm_mu_);
+    auto it = warm_.find(rep);
+    if (it != warm_.end()) warm = it->second.get();
+  }
+  if (warm != nullptr && warm->BindingValid(gp_, graph, c, tape_)) {
+    // Warm path: the entry still describes this component and the tape
+    // holds the quiescent model it recorded — patch, undo, seed, resume.
+    if (warm->Resolve(gp_, graph, c, &disabled_, &tape_, stages, diag,
+                      cancel)) {
+      return true;
     }
+    // Aborted mid-patch: the entry is inconsistent (partial undo/flood)
+    // and must not be resumed against; the caller restores the tape
+    // snapshot, so the next touch rebuilds from scratch.
+    ++diag->warm_cold_fallbacks;
+    std::lock_guard<std::mutex> lock(warm_mu_);
+    warm_.erase(rep);
+    return false;
+  }
+  if (warm != nullptr) {
+    // Present but no longer provably consistent (recondensed membership,
+    // new rules targeting the component, or an out-of-band solve moved
+    // the tape under it): the audit contract says discard, never trust.
+    ++diag->warm_cold_fallbacks;
+    std::lock_guard<std::mutex> lock(warm_mu_);
+    warm_.erase(rep);
+  }
+  auto fresh = std::make_unique<solver::WarmComponent>();
+  for (AtomId a : atoms) tape_.SetUndefined(a);
+  if (!fresh->SolveFromScratch(gp_, graph, c, &disabled_, &tape_, stages,
+                               diag, cancel)) {
+    return false;  // tape left all-undefined; entry dropped with `fresh`
+  }
+  std::lock_guard<std::mutex> lock(warm_mu_);
+  warm_[rep] = std::move(fresh);
+  return true;
+}
+
+/// The one copy of the per-component delta step, run by the executor for
+/// delta and query passes: snapshot old values, re-solve (warm or cold),
+/// and invoke `flag(head_component)` for every component owning a rule
+/// that mentions an atom whose value moved.
+///
+/// With levels on, the snapshot/compare covers the stage levels too: a
+/// delta can advance a literal's stage without flipping any truth value
+/// (e.g. asserting an already-derived atom as a fact pulls its stage down
+/// to 1), and dependents' stages must follow — cutting the cone on value
+/// equality alone would leave them stale.
+///
+/// A cancellation abort mid-solve restores the snapshot verbatim ("fully
+/// old or fully new"), runs no flagging, and returns `kAborted` — the
+/// pass epilogue queues the component for the resume pass.
+template <typename FlagFn>
+solver::ConeStep IncrementalSolver::ResolveComponentDelta(
+    uint32_t c, solver::ConeLane* lane, CancelCtx* cancel, FlagFn&& flag) {
+  const AtomDependencyGraph& graph = cond_->graph();
+  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
+  std::span<const AtomId> atoms = graph.Atoms(c);
+  std::vector<TruthValue>& old_vals = lane->old_vals;
+  std::vector<uint32_t>& old_stages = lane->old_stages;
+  old_vals.clear();
+  for (AtomId a : atoms) old_vals.push_back(tape_.Value(a));
+  if (stages != nullptr) {
+    old_stages.clear();
+    for (AtomId a : atoms) {
+      old_stages.push_back(stages->true_stage[a]);
+      old_stages.push_back(stages->false_stage[a]);
+    }
+  }
+  // Warm/cold dispatch is by component *shape* only (`Eligible`), never
+  // by schedule, so every thread count takes identical paths and the
+  // models stay bit-identical. The warm path reads the pre-delta tape
+  // (no reset here — the undo is the point); the cold paths reset first.
+  bool ok;
+  if (solver::WarmComponent::Eligible(graph, c, opts_.warm_min_atoms)) {
+    ok = SolveEligibleComponent(c, stages, &lane->diag, cancel);
+  } else {
+    for (AtomId a : atoms) tape_.SetUndefined(a);
+    ok = solver::SolveComponent(gp_, graph, c, &disabled_, &tape_, stages,
+                                &lane->diag, cancel);
+  }
+  if (!ok) {
+    // The failed solve left the atoms all-undefined (cold/scratch) or
+    // partially written (warm patch); the snapshot puts the pre-delta
+    // values back either way. Stages were never touched (reconstruction
+    // runs only after values finalize), so they still hold the old
+    // levels — consistent with the restored values.
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      tape_.SetValue(atoms[i], old_vals[i]);
+    }
+    return solver::ConeStep::kAborted;
+  }
+
+  bool changed = false;
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    bool moved = tape_.Value(atoms[i]) != old_vals[i];
+    if (!moved && stages != nullptr) {
+      moved = stages->true_stage[atoms[i]] != old_stages[2 * i] ||
+              stages->false_stage[atoms[i]] != old_stages[2 * i + 1];
+    }
+    if (!moved) continue;
+    changed = true;
+    // Retracted rules stay in the occurrence index; their heads do not
+    // depend on this atom anymore, so skip them instead of over-marking.
+    for (RuleId r : gp_.PositiveOccurrences(atoms[i])) {
+      if (!RuleEnabledIn(&disabled_, r)) continue;
+      uint32_t hc = graph.ComponentOf(gp_.rules()[r].head);
+      if (hc != c) flag(hc);
+    }
+    for (RuleId r : gp_.NegativeOccurrences(atoms[i])) {
+      if (!RuleEnabledIn(&disabled_, r)) continue;
+      uint32_t hc = graph.ComponentOf(gp_.rules()[r].head);
+      if (hc != c) flag(hc);
+    }
+  }
+  return changed ? solver::ConeStep::kChanged : solver::ConeStep::kUnchanged;
+}
+
+void IncrementalSolver::GrowTapes() {
+  // Atoms interned since the last pass (new facts, rule deltas) enter
+  // undefined; atom ids are stable, so everything else carries over.
+  model_.model.Resize(gp_.atom_count());
+  tape_.Resize(gp_.atom_count());
+  if (opts_.compute_levels) {
+    stape_.Resize(gp_.atom_count());
+    model_.true_stage.resize(gp_.atom_count(), 0);
+    model_.false_stage.resize(gp_.atom_count(), 0);
+  }
+}
+
+WorkStealingPool* IncrementalSolver::PoolFor(
+    const solver::ConeExecutor::Plan& plan) {
+  if (!solver::ConeExecutor::Parallel(plan, threads_)) return nullptr;
+  if (dag_ == nullptr) {
+    dag_ = std::make_unique<solver::ComponentDag>(gp_, cond_->graph(),
+                                                  &disabled_);
+    pending_dag_edges_.clear();  // a fresh build already covers them
+  } else {
+    FlushPendingDagEdges();
+  }
+  if (pool_ == nullptr) pool_ = std::make_unique<WorkStealingPool>(threads_);
+  gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
+  return pool_.get();
+}
+
+void IncrementalSolver::RunDeltaPass(const solver::ConeExecutor::Plan& plan,
+                                     CancelCtx* cancel) {
+  WorkStealingPool* pool = PoolFor(plan);
+  exec_.Run(plan, dag_.get(), pool,
+            [&](solver::ConeLane& lane, uint32_t c, auto&& flag) {
+              return ResolveComponentDelta(c, &lane, cancel, flag);
+            });
+}
+
+void IncrementalSolver::QueueStale(uint32_t comp) {
+  memo_.Invalidate(comp);
+  // By stable representative atom: component ids may shift again before
+  // anything consumes the marker.
+  stale_reps_.push_back(cond_->graph().Atoms(comp)[0]);
+}
+
+IncrementalSolver::PassTally IncrementalSolver::SettlePass(bool mirror) {
+  const AtomDependencyGraph& graph = cond_->graph();
+  PassTally tally;
+  for (solver::ConeLane& lane : exec_.lanes()) {
+    diag_.MergeFrom(lane.diag);
+    stats_.cone_cutoffs += lane.unchanged;
+    tally.resolved += lane.finalized.size();
+    for (uint32_t c : lane.finalized) {
+      tally.resolved_atoms += graph.Atoms(c).size();
+      memo_.MarkValid(c);
+      if (mirror) SyncMirror(c);
+    }
+    // Dependents outside the scope whose inputs moved: stale until a
+    // later pass reaches them.
+    for (uint32_t c : lane.outside) QueueStale(c);
+  }
+  // Cut off by an abort: each holds its entry state and resumes later.
+  for (uint32_t c : exec_.unfinished()) QueueStale(c);
+  return tally;
+}
+
+const WfsModel& IncrementalSolver::Model() {
+  const bool fresh = !solved_;
+  if (!fresh && dirty_.empty() && stale_reps_.empty()) return model_;
+  GSLS_TRACE_SPAN(fresh ? "solve.full" : "solve.delta",
+                  fresh ? gp_.atom_count() : stats_.incremental_solves);
+  const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
+  EnsureGraph();
+  CancelCtx* cancel = BeginCancelPass();
+  const AtomDependencyGraph& graph = cond_->graph();
+  const uint32_t ncomp = graph.component_count();
+  memo_.Grow(ncomp);
+  const uint64_t rounds_before = diag_.alternating_rounds;
+  const uint64_t warm_hits_before = diag_.warm_hits;
+  const uint64_t seeded_flood_before = diag_.seeded_flood_sizes.sum;
+  solver::ConeExecutor::Plan plan;
+  plan.component_count = ncomp;
+  if (fresh) {
+    // Every component is scheduled, so older markers are subsumed.
+    dirty_.clear();
+    stale_reps_.clear();
+    plan.pruned = false;
+    WorkStealingPool* pool = PoolFor(plan);
+    solver::RunFreshPass(&exec_, gp_, graph, dag_.get(), pool, &disabled_,
+                         &tape_, opts_.compute_levels ? &stape_ : nullptr,
+                         cancel);
+  } else {
+    ++stats_.incremental_solves;
+    GrowTapes();
+    // Delta-dirty atoms and components left stale by query or aborted
+    // passes are the same "my tape values may be wrong" marker.
+    seeds_.clear();
+    for (AtomId a : dirty_) seeds_.push_back(graph.ComponentOf(a));
+    for (AtomId a : stale_reps_) seeds_.push_back(graph.ComponentOf(a));
+    dirty_.clear();
+    stale_reps_.clear();
+    plan.scope = solver::ConeExecutor::Scope::kUpCone;
+    plan.seeds = seeds_;
+    RunDeltaPass(plan, cancel);
+  }
+  // The full branch rewrites the tape wholesale and mirrors it whole
+  // below; delta passes mirror each finalized component.
+  const PassTally tally = SettlePass(/*mirror=*/!fresh);
+  if (exec_.unfinished().empty()) {
+    // The pass chased every change to its end: the tape is the full model
+    // again, so the memo is too.
+    memo_.MarkAllValid();
+  }
+  // Like a fresh solve, `iterations` reports this pass's alternating
+  // rounds, not a lifetime total (`diagnostics()` keeps the cumulative).
+  model_.iterations =
+      static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
+  model_.outcome =
+      cancel != nullptr ? cancel->outcome() : SolveOutcome::kCompleted;
+  if (fresh) {
     model_.model = tape_.ToInterpretation();
     if (opts_.compute_levels) {
       model_.true_stage = stape_.true_stage;
       model_.false_stage = stape_.false_stage;
       model_.has_levels = true;
     }
-    model_.iterations =
-        static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
-    model_.outcome =
-        cancel != nullptr ? cancel->outcome() : SolveOutcome::kCompleted;
+    if (resolve_log_enabled_) resolve_log_.all_atoms = true;
+    diag_.component_count = ncomp;
     // `solved_` even on an abort: the finalized components carry exact
     // values (anytime semantics), and the next `Model()` resumes through
-    // the incremental branch — exactly the queued remainder, never a
-    // second from-scratch pass.
+    // the delta branch — exactly the queued remainder, never a second
+    // from-scratch pass.
     solved_ = true;
-    dirty_.clear();
-    // The full branch writes the tape wholesale (no per-component
-    // SyncMirror), so the resolve log can only be conservative here.
-    if (resolve_log_enabled_) {
-      resolve_log_.all_atoms = true;
-    }
-    if (!aborted) {
-      // Everything just finalized: the query memo serves every component.
-      memo_.MarkAllValid();
-      stale_reps_.clear();
-    }
     ++stats_.full_solves;
-    NoteOutcome(cancel, ncomp - (aborted ? stale_reps_.size() : 0));
-    if (opts_.telemetry != nullptr) {
-      tele_.full_latency_us->Record((obs::NowNs() - t0) / 1000);
-      PublishTelemetry();
-    }
-  } else if (!dirty_.empty() || !stale_reps_.empty()) {
-    GSLS_TRACE_SPAN("solve.delta", stats_.incremental_solves);
-    const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
-    EnsureGraph();
-    CancelCtx* cancel = BeginCancelPass();
-    // Components left stale by query passes (invalidated out-of-cone
-    // dependents of re-solved changes) join the delta-dirty atoms: both
-    // are "re-solve me, my tape values may be wrong" markers, and the
-    // up-cone passes treat them identically.
-    dirty_.insert(dirty_.end(), stale_reps_.begin(), stale_reps_.end());
-    stale_reps_.clear();
-    memo_.Grow(cond_->graph().component_count());
-    const uint64_t resolved_before = stats_.components_resolved;
-    const uint64_t warm_hits_before = diag_.warm_hits;
-    const uint64_t seeded_flood_before = diag_.seeded_flood_sizes.sum;
-    // The parallel cone schedules every component *reachable* from the
-    // deltas (pruned re-solves, but still a release per cone member),
-    // while the heap touches only components whose inputs actually
-    // moved. A single-component delta — the latency-critical streaming
-    // case — therefore always takes the heap; batched multi-component
-    // deltas have the width the pool can use.
-    bool multi_component = false;
-    uint32_t first = cond_->graph().ComponentOf(dirty_.front());
-    for (AtomId a : dirty_) {
-      if (cond_->graph().ComponentOf(a) != first) {
-        multi_component = true;
-        break;
-      }
-    }
-    if (threads_ > 1 && multi_component) {
-      ResolveUpConeParallel(cancel);
+  } else {
+    stats_.components_resolved += tally.resolved;
+    stats_.components_reused += ncomp - tally.resolved;
+  }
+  NoteOutcome(cancel, tally.resolved);
+  if (opts_.telemetry != nullptr) {
+    const uint64_t us = (obs::NowNs() - t0) / 1000;
+    if (fresh) {
+      tele_.full_latency_us->Record(us);
     } else {
-      ResolveUpCone(cancel);
-    }
-    const bool aborted = cancel != nullptr && cancel->aborted();
-    if (!aborted) {
-      // The pass re-solved every pending component and chased every
-      // actual change; the tape is the full model again, so the memo is
-      // too. (On an abort the resolve pass already marked exactly the
-      // finalized components valid and queued the rest.)
-      memo_.MarkAllValid();
-    }
-    model_.outcome =
-        cancel != nullptr ? cancel->outcome() : SolveOutcome::kCompleted;
-    NoteOutcome(cancel, stats_.components_resolved - resolved_before);
-    if (opts_.telemetry != nullptr) {
-      tele_.delta_latency_us->Record((obs::NowNs() - t0) / 1000);
+      tele_.delta_latency_us->Record(us);
+      tele_.dirty_components->Record(exec_.seed_count());
+      tele_.cone_components->Record(exec_.scheduled());
+      tele_.resolved_components->Record(tally.resolved);
+      tele_.resolved_atoms->Record(tally.resolved_atoms);
       if (diag_.warm_hits != warm_hits_before) {
         // What this pass's warm re-solves actually flooded, summed over
         // the pass — the per-delta "how much of the SCC did the seed
@@ -472,8 +603,8 @@ const WfsModel& IncrementalSolver::Model() {
         tele_.interior_seeded_flood_atoms->Record(
             diag_.seeded_flood_sizes.sum - seeded_flood_before);
       }
-      PublishTelemetry();
     }
+    PublishTelemetry();
   }
   return model_;
 }
@@ -541,435 +672,28 @@ WfsModel IncrementalSolver::SolveFresh(SolverDiagnostics* diag) const {
   // exactly what a non-incremental caller solving the mutated program
   // would build (and what the repaired condensation must agree with).
   AtomDependencyGraph graph(gp_, &disabled_);
-  return solver::SolveAllComponents(gp_, graph, &disabled_,
-                                    opts_.compute_levels, diag);
+  return solver::SolveCondensation(gp_, graph, &disabled_,
+                                   opts_.compute_levels, /*pool=*/nullptr,
+                                   diag);
 }
 
-void IncrementalSolver::Mark(uint32_t comp) {
-  if (marked_[comp] != 0) return;
-  marked_[comp] = 1;
-  heap_.push(comp);
-}
-
-bool IncrementalSolver::SolveEligibleComponent(uint32_t c,
-                                               solver::StageTape* stages,
-                                               SolverDiagnostics* diag,
-                                               CancelCtx* cancel) {
+void IncrementalSolver::CollectDownCone(AtomId atom) {
   const AtomDependencyGraph& graph = cond_->graph();
-  std::span<const AtomId> atoms = graph.Atoms(c);
-  const AtomId rep = atoms[0];
-  solver::WarmComponent* warm = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    auto it = warm_.find(rep);
-    if (it != warm_.end()) warm = it->second.get();
+  if (in_down_cone_.size() < graph.component_count()) {
+    in_down_cone_.resize(graph.component_count(), 0);
   }
-  if (warm != nullptr && warm->BindingValid(gp_, graph, c, tape_)) {
-    // Warm path: the entry still describes this component and the tape
-    // holds the quiescent model it recorded — patch, undo, seed, resume.
-    if (warm->Resolve(gp_, graph, c, &disabled_, &tape_, stages, diag,
-                      cancel)) {
-      return true;
-    }
-    // Aborted mid-patch: the entry is inconsistent (partial undo/flood)
-    // and must not be resumed against; the caller restores the tape
-    // snapshot, so the next touch rebuilds from scratch.
-    ++diag->warm_cold_fallbacks;
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    warm_.erase(rep);
-    return false;
-  }
-  if (warm != nullptr) {
-    // Present but no longer provably consistent (recondensed membership,
-    // new rules targeting the component, or an out-of-band solve moved
-    // the tape under it): the audit contract says discard, never trust.
-    ++diag->warm_cold_fallbacks;
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    warm_.erase(rep);
-  }
-  auto fresh = std::make_unique<solver::WarmComponent>();
-  for (AtomId a : atoms) tape_.SetUndefined(a);
-  if (!fresh->SolveFromScratch(gp_, graph, c, &disabled_, &tape_, stages,
-                               diag, cancel)) {
-    return false;  // tape left all-undefined; entry dropped with `fresh`
-  }
-  std::lock_guard<std::mutex> lock(warm_mu_);
-  warm_[rep] = std::move(fresh);
-  return true;
-}
-
-/// The one copy of the per-component delta step shared by the sequential
-/// heap, the parallel cone, and the query passes: snapshot old values,
-/// re-solve (warm or cold), and invoke `flag(head_component)` for every
-/// component owning a rule that mentions an atom whose value moved.
-/// Returns whether anything moved.
-///
-/// With `stages` non-null the snapshot/compare covers the stage levels
-/// too: a delta can advance a literal's stage without flipping any truth
-/// value (e.g. asserting an already-derived atom as a fact pulls its stage
-/// down to 1), and dependents' stages must follow — cutting the cone on
-/// value equality alone would leave them stale.
-///
-/// A cancellation abort mid-solve restores the snapshot verbatim ("fully
-/// old or fully new"), sets `*aborted`, runs no flagging, and returns
-/// false — the caller queues the component for the resume pass.
-template <typename FlagFn>
-bool IncrementalSolver::ResolveComponentDelta(
-    uint32_t c, solver::StageTape* stages, std::vector<TruthValue>* old_vals,
-    std::vector<uint32_t>* old_stages, SolverDiagnostics* diag,
-    CancelCtx* cancel, bool* aborted, FlagFn&& flag) {
-  const AtomDependencyGraph& graph = cond_->graph();
-  std::span<const AtomId> atoms = graph.Atoms(c);
-  old_vals->clear();
-  for (AtomId a : atoms) old_vals->push_back(tape_.Value(a));
-  if (stages != nullptr) {
-    old_stages->clear();
-    for (AtomId a : atoms) {
-      old_stages->push_back(stages->true_stage[a]);
-      old_stages->push_back(stages->false_stage[a]);
-    }
-  }
-  // Warm/cold dispatch is by component *shape* only (`Eligible`), never
-  // by schedule, so every thread count takes identical paths and the
-  // models stay bit-identical. The warm path reads the pre-delta tape
-  // (no reset here — the undo is the point); the cold paths reset first.
-  bool ok;
-  if (solver::WarmComponent::Eligible(graph, c, opts_.warm_min_atoms)) {
-    ok = SolveEligibleComponent(c, stages, diag, cancel);
-  } else {
-    for (AtomId a : atoms) tape_.SetUndefined(a);
-    ok = solver::SolveComponent(gp_, graph, c, &disabled_, &tape_, stages,
-                                diag, cancel);
-  }
-  if (!ok) {
-    // The failed solve left the atoms all-undefined (cold/scratch) or
-    // partially written (warm patch); the snapshot puts the pre-delta
-    // values back either way. Stages were never touched (reconstruction
-    // runs only after values finalize), so they still hold the old
-    // levels — consistent with the restored values.
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      tape_.SetValue(atoms[i], (*old_vals)[i]);
-    }
-    *aborted = true;
-    return false;
-  }
-
-  bool changed = false;
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    bool moved = tape_.Value(atoms[i]) != (*old_vals)[i];
-    if (!moved && stages != nullptr) {
-      moved = stages->true_stage[atoms[i]] != (*old_stages)[2 * i] ||
-              stages->false_stage[atoms[i]] != (*old_stages)[2 * i + 1];
-    }
-    if (!moved) continue;
-    changed = true;
-    // Retracted rules stay in the occurrence index; their heads do not
-    // depend on this atom anymore, so skip them instead of over-marking.
-    for (RuleId r : gp_.PositiveOccurrences(atoms[i])) {
-      if (!RuleEnabledIn(&disabled_, r)) continue;
-      uint32_t hc = graph.ComponentOf(gp_.rules()[r].head);
-      if (hc != c) flag(hc);
-    }
-    for (RuleId r : gp_.NegativeOccurrences(atoms[i])) {
-      if (!RuleEnabledIn(&disabled_, r)) continue;
-      uint32_t hc = graph.ComponentOf(gp_.rules()[r].head);
-      if (hc != c) flag(hc);
-    }
-  }
-  return changed;
-}
-
-void IncrementalSolver::ResolveUpCone(CancelCtx* cancel) {
-  ++stats_.incremental_solves;
-  const uint64_t rounds_before = diag_.alternating_rounds;
-  const AtomDependencyGraph& graph = cond_->graph();
-  const uint32_t ncomp = graph.component_count();
-  // `Assert` of new atoms grew the program (and forced a graph rebuild):
-  // the carried-over model keeps its values — atom ids are stable — and
-  // the new atoms start undefined.
-  model_.model.Resize(gp_.atom_count());
-  tape_.Resize(gp_.atom_count());
-  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
-  if (stages != nullptr) {
-    stape_.Resize(gp_.atom_count());
-    model_.true_stage.resize(gp_.atom_count(), 0);
-    model_.false_stage.resize(gp_.atom_count(), 0);
-  }
-  // Zeros between passes (every mark is cleared by its pop); only a graph
-  // rebuild changes the component count.
-  if (marked_.size() != ncomp) marked_.assign(ncomp, 0);
-
-  for (AtomId a : dirty_) Mark(graph.ComponentOf(a));
-  dirty_.clear();
-  const uint64_t initial_marks = heap_.size();
-
-  uint64_t resolved = 0;
-  uint64_t resolved_atoms = 0;
-  std::vector<TruthValue> old_vals;
-  std::vector<uint32_t> old_stages;
-  while (!heap_.empty()) {
-    uint32_t c = heap_.top();
-    heap_.pop();
-    marked_[c] = 0;
-
-    // Change-pruned cone: dependents recompute only when some input of
-    // theirs actually moved. Dependent components always have a larger id
-    // (dependency order), so the heap never revisits a popped component.
-    bool aborted = false;
-    bool changed =
-        ResolveComponentDelta(c, stages, &old_vals, &old_stages, &diag_,
-                              cancel, &aborted,
-                              [&](uint32_t hc) { Mark(hc); });
-    if (aborted) {
-      // `c` was rolled back to its snapshot; it and every still-marked
-      // component queue (by stable representative atom) for the resume
-      // pass. Components already popped this pass are final and keep
-      // their per-component validity marks.
-      memo_.Invalidate(c);
-      stale_reps_.push_back(graph.Atoms(c)[0]);
-      while (!heap_.empty()) {
-        uint32_t d = heap_.top();
-        heap_.pop();
-        marked_[d] = 0;
-        memo_.Invalidate(d);
-        stale_reps_.push_back(graph.Atoms(d)[0]);
-      }
-      break;
-    }
-    ++resolved;
-    resolved_atoms += graph.Atoms(c).size();
-    if (cancel != nullptr) memo_.MarkValid(c);
-    SyncMirror(c);
-    if (!changed) ++stats_.cone_cutoffs;
-  }
-  stats_.components_resolved += resolved;
-  stats_.components_reused += ncomp - resolved;
-  // Like a fresh solve, `iterations` reports this pass's alternating
-  // rounds, not a lifetime total (`diagnostics()` keeps the cumulative).
-  model_.iterations =
-      static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
-  if (opts_.telemetry != nullptr) {
-    tele_.dirty_components->Record(initial_marks);
-    // The heap visits exactly the components it re-solves, so the touched
-    // cone and the resolved set coincide on this path.
-    tele_.cone_components->Record(resolved);
-    tele_.resolved_components->Record(resolved);
-    tele_.resolved_atoms->Record(resolved_atoms);
-  }
-}
-
-namespace {
-
-/// One worker's accumulation for a parallel up-cone pass, cache-line
-/// padded: private diagnostics, the components it re-solved (for the
-/// mirror sync after the barrier), and scratch for old values.
-struct alignas(64) ConeWorker {
-  SolverDiagnostics diag;
-  std::vector<uint32_t> resolved;
-  uint64_t cutoffs = 0;
-  std::vector<TruthValue> old_vals;
-  std::vector<uint32_t> old_stages;
-  /// Query passes only: out-of-cone components this worker's re-solves
-  /// flagged as changed-input dependents; the memo writes are deferred to
-  /// the barrier (the memo is not thread-safe).
-  std::vector<uint32_t> flagged;
-};
-
-}  // namespace
-
-void IncrementalSolver::ResolveUpConeParallel(CancelCtx* cancel) {
-  ++stats_.incremental_solves;
-  const uint64_t rounds_before = diag_.alternating_rounds;
-  EnsureParallelRuntime();
-  const AtomDependencyGraph& graph = cond_->graph();
-  const uint32_t ncomp = graph.component_count();
-  model_.model.Resize(gp_.atom_count());
-  tape_.Resize(gp_.atom_count());
-  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
-  if (stages != nullptr) {
-    stape_.Resize(gp_.atom_count());
-    model_.true_stage.resize(gp_.atom_count(), 0);
-    model_.false_stage.resize(gp_.atom_count(), 0);
-  }
-  gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
-
-  // The potentially-affected cone: everything reachable from the dirty
-  // components in the condensation DAG, gathered breadth-first. The
-  // change pruning of the sequential path survives as a per-component
-  // flag: a released component re-solves only if it is dirty or some
-  // predecessor's atoms actually changed; otherwise it just releases its
-  // successors in turn. The per-component scratch persists across deltas
-  // (zeros between passes, cleared cone-entry-wise below); only a graph
-  // rebuild re-sizes it.
-  if (in_cone_.size() != ncomp) {
-    in_cone_.assign(ncomp, 0);
-    cone_dirty_.assign(ncomp, 0);
-    cone_pos_.assign(ncomp, 0);
-  }
-  std::vector<uint32_t>& cone = cone_;
-  std::vector<uint8_t>& in_cone = in_cone_;
-  std::vector<uint8_t>& is_dirty = cone_dirty_;
-  std::vector<uint32_t>& cone_pos = cone_pos_;
-  cone.clear();
-  for (AtomId a : dirty_) {
-    uint32_t c = graph.ComponentOf(a);
-    is_dirty[c] = 1;
-    if (!in_cone[c]) {
-      in_cone[c] = 1;
-      cone.push_back(c);
-    }
-  }
-  dirty_.clear();
-  const uint64_t initial_dirty = cone.size();
-  for (size_t i = 0; i < cone.size(); ++i) {
-    for (uint32_t s : dag_->Successors(cone[i])) {
-      if (!in_cone[s]) {
-        in_cone[s] = 1;
-        cone.push_back(s);
-      }
-    }
-  }
-
-  // Ready-release counters restricted to the cone: a component waits only
-  // for its in-cone predecessors (everything else is already final).
-  for (uint32_t i = 0; i < cone.size(); ++i) cone_pos[cone[i]] = i;
-  std::unique_ptr<std::atomic<uint32_t>[]> pending(
-      new std::atomic<uint32_t>[cone.size()]);
-  std::unique_ptr<std::atomic<uint8_t>[]> inputs_changed(
-      new std::atomic<uint8_t>[cone.size()]);
-  for (size_t i = 0; i < cone.size(); ++i) {
-    pending[i].store(0, std::memory_order_relaxed);
-    inputs_changed[i].store(0, std::memory_order_relaxed);
-  }
-  for (uint32_t c : cone) {
-    for (uint32_t s : dag_->Successors(c)) {
-      if (in_cone[s]) {
-        pending[cone_pos[s]].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  std::vector<uint32_t> seeds;
-  for (uint32_t i = 0; i < cone.size(); ++i) {
-    if (pending[i].load(std::memory_order_relaxed) == 0) {
-      seeds.push_back(cone[i]);
-    }
-  }
-
-  std::vector<ConeWorker> workers(pool_->size());
-  solver::RunReadyReleaseSchedule(
-      pool_.get(), seeds, pending.get(),
-      [&](unsigned worker, uint32_t c) {
-        ConeWorker& w = workers[worker];
-        bool needs =
-            is_dirty[c] != 0 ||
-            inputs_changed[cone_pos[c]].load(std::memory_order_relaxed);
-        if (!needs) return true;  // nothing moved below: release onwards
-        // Same per-atom marking as the sequential heap, sinking into the
-        // per-component flags. Relaxed is enough: the flag is read only
-        // after this component's acq_rel release edge in the shared
-        // scheduler.
-        bool aborted = false;
-        bool changed = ResolveComponentDelta(
-            c, stages, &w.old_vals, &w.old_stages, &w.diag, cancel, &aborted,
-            [&](uint32_t hc) {
-              inputs_changed[cone_pos[hc]].store(1,
-                                                 std::memory_order_relaxed);
-            });
-        if (aborted) return false;  // rolled back; successors unreleased
-        w.resolved.push_back(c);
-        if (!changed) ++w.cutoffs;
-        return true;
-      },
-      [&](uint32_t c) { return dag_->Successors(c); },
-      [&](uint32_t s) {
-        return in_cone[s] ? cone_pos[s] : solver::kNoScheduleSlot;
-      });
-
-  const bool aborted = cancel != nullptr && cancel->aborted();
-  uint64_t resolved = 0;
-  uint64_t resolved_atoms = 0;
-  std::vector<uint8_t> resolved_in_pass;
-  if (aborted) resolved_in_pass.assign(cone.size(), 0);
-  for (ConeWorker& w : workers) {
-    diag_.MergeFrom(w.diag);
-    resolved += w.resolved.size();
-    stats_.cone_cutoffs += w.cutoffs;
-    for (uint32_t c : w.resolved) {
-      resolved_atoms += graph.Atoms(c).size();
-      if (cancel != nullptr) memo_.MarkValid(c);
-      if (aborted) resolved_in_pass[cone_pos[c]] = 1;
-      SyncMirror(c);
-    }
-  }
-  if (aborted) {
-    // The abort drained the schedule mid-cone, and a processed-but-
-    // skipped (inputs unchanged) member is indistinguishable from one
-    // never released — so every cone member that did not finalize this
-    // pass is conservatively queued for the resume. Over-marking is
-    // sound: a re-solve against unchanged inputs reproduces its values
-    // and cuts the cone right there.
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      if (resolved_in_pass[i] != 0) continue;
-      uint32_t c = cone[i];
-      memo_.Invalidate(c);
-      stale_reps_.push_back(graph.Atoms(c)[0]);
-    }
-  }
-  stats_.components_resolved += resolved;
-  stats_.components_reused += ncomp - resolved;
-  model_.iterations =
-      static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
-  if (opts_.telemetry != nullptr) {
-    tele_.dirty_components->Record(initial_dirty);
-    tele_.cone_components->Record(cone.size());
-    tele_.resolved_components->Record(resolved);
-    tele_.resolved_atoms->Record(resolved_atoms);
-  }
-
-  // Clear only what this pass touched, keeping the scratch zeroed for the
-  // next delta without a full sweep.
-  for (uint32_t c : cone) {
-    in_cone[c] = 0;
-    is_dirty[c] = 0;
-  }
-}
-
-void IncrementalSolver::FoldDirtyIntoPending() {
-  if (dirty_.empty()) return;
-  const AtomDependencyGraph& graph = cond_->graph();
-  // Unconditional pushes: a component can be invalid without being
-  // pending (never solved, or conservatively dropped by a recondensation
-  // window), and `Invalidate`'s return value cannot tell those apart.
-  // Duplicates are harmless — consumers dedupe by component.
-  for (AtomId a : dirty_) {
-    memo_.Invalidate(graph.ComponentOf(a));
-    stale_reps_.push_back(a);
-  }
-  dirty_.clear();
-}
-
-void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
-                                      CancelCtx* cancel) {
-  const AtomDependencyGraph& graph = cond_->graph();
-  const uint32_t ncomp = graph.component_count();
-  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
-  if (in_down_cone_.size() != ncomp) in_down_cone_.assign(ncomp, 0);
-  std::vector<uint32_t>& cone = down_cone_;
-  cone.clear();
-
-  // The down-cone: every component the query's truth can depend on,
-  // gathered by walking body atoms of enabled rules for each member atom
-  // (the reverse of the scheduling DAG's edges). The walk cannot prune at
-  // valid components: validity is conditional on everything below being
-  // re-solved first (see solver/component_memo.h), so a stale component
-  // deep under a valid one must still be found and re-run.
+  // Every component the query's truth can depend on, gathered by walking
+  // body atoms of enabled rules for each member atom (the reverse of the
+  // scheduling DAG's edges). The walk cannot prune at valid components:
+  // validity is conditional on everything below being re-solved first
+  // (see solver/component_memo.h), so a stale component deep under a
+  // valid one must still be found and re-run.
+  cone_.clear();
   const uint32_t qc = graph.ComponentOf(atom);
-  cone.push_back(qc);
+  cone_.push_back(qc);
   in_down_cone_[qc] = 1;
-  uint32_t stale = 0;
-  for (size_t i = 0; i < cone.size(); ++i) {
-    if (!memo_.Valid(cone[i])) ++stale;
-    for (AtomId a : graph.Atoms(cone[i])) {
+  for (size_t i = 0; i < cone_.size(); ++i) {
+    for (AtomId a : graph.Atoms(cone_[i])) {
       for (RuleId r : gp_.RulesFor(a)) {
         if (!RuleEnabled(r)) continue;
         const GroundRule& rule = gp_.rules()[r];
@@ -977,7 +701,7 @@ void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
           uint32_t bc = graph.ComponentOf(b);
           if (in_down_cone_[bc] == 0) {
             in_down_cone_[bc] = 1;
-            cone.push_back(bc);
+            cone_.push_back(bc);
           }
         };
         for (AtomId b : rule.pos) visit(b);
@@ -985,184 +709,12 @@ void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
       }
     }
   }
-  // Dependency (ascending-id) order; ranks double as schedule slots.
-  std::sort(cone.begin(), cone.end());
-  for (uint32_t i = 0; i < cone.size(); ++i) in_down_cone_[cone[i]] = i + 1;
-
-  out->cone_components = static_cast<uint32_t>(cone.size());
-  uint64_t cone_atoms = 0;
-  for (uint32_t c : cone) cone_atoms += graph.Atoms(c).size();
-  out->cone_atoms = cone_atoms;
-
-  if (stale == 0) {
-    // Cone-local fast path: every relevant component is memoized, the
-    // answer is already on the tape (stale components elsewhere in the
-    // program cannot affect it).
-    memo_.CountHits(cone.size());
-    out->memo_hits = static_cast<uint32_t>(cone.size());
-    stats_.components_reused += cone.size();
-    for (uint32_t c : cone) in_down_cone_[c] = 0;
-    return;
+  for (uint32_t c : cone_) in_down_cone_[c] = 0;
+  std::sort(cone_.begin(), cone_.end());  // dependency order
+  seeds_.clear();
+  for (uint32_t c : cone_) {
+    if (!memo_.Valid(c)) seeds_.push_back(c);
   }
-
-  uint64_t resolved = 0;
-  uint64_t resolved_atoms = 0;
-  uint64_t cutoffs = 0;
-  // Per cone rank: finalized this pass. Only the abort path reads it (the
-  // conservative re-queue below), so it is built only under cancellation.
-  std::vector<uint8_t> resolved_in_pass;
-  if (cancel != nullptr) resolved_in_pass.assign(cone.size(), 0);
-  std::vector<uint32_t> flagged;  ///< out-of-cone comps, deduped per pass
-  auto flag_outside = [&](uint32_t hc) {
-    if (std::find(flagged.begin(), flagged.end(), hc) != flagged.end()) {
-      return;
-    }
-    flagged.push_back(hc);
-    memo_.Invalidate(hc);
-    // Pending marker by stable representative atom, like ApplyRepair:
-    // component ids may shift again before anything consumes this.
-    stale_reps_.push_back(graph.Atoms(hc)[0]);
-  };
-
-  if (threads_ > 1 && stale > 1) {
-    // Cone-restricted parallel pass: the shared ready-release schedule
-    // over the in-cone components, same discipline as the full parallel
-    // solve and the up-cone delta pass. Memo reads happen before the
-    // barrier (against the pre-pass state), memo writes after it — the
-    // in-pass staleness signal is the `inputs_changed` atomics, exactly
-    // like the up-cone's change pruning.
-    EnsureParallelRuntime();
-    gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
-    std::unique_ptr<std::atomic<uint32_t>[]> pending(
-        new std::atomic<uint32_t>[cone.size()]);
-    std::unique_ptr<std::atomic<uint8_t>[]> inputs_changed(
-        new std::atomic<uint8_t>[cone.size()]);
-    for (size_t i = 0; i < cone.size(); ++i) {
-      pending[i].store(0, std::memory_order_relaxed);
-      inputs_changed[i].store(0, std::memory_order_relaxed);
-    }
-    for (uint32_t c : cone) {
-      for (uint32_t s : dag_->Successors(c)) {
-        if (in_down_cone_[s] != 0) {
-          pending[in_down_cone_[s] - 1].fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-      }
-    }
-    std::vector<uint32_t> seeds;
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      if (pending[i].load(std::memory_order_relaxed) == 0) {
-        seeds.push_back(cone[i]);
-      }
-    }
-    std::vector<ConeWorker> workers(pool_->size());
-    solver::RunReadyReleaseSchedule(
-        pool_.get(), seeds, pending.get(),
-        [&](unsigned worker, uint32_t c) {
-          ConeWorker& w = workers[worker];
-          bool needs = !memo_.Valid(c) ||
-                       inputs_changed[in_down_cone_[c] - 1].load(
-                           std::memory_order_relaxed) != 0;
-          if (!needs) return true;  // memo hit: just release successors
-          bool aborted = false;
-          bool changed = ResolveComponentDelta(
-              c, stages, &w.old_vals, &w.old_stages, &w.diag, cancel,
-              &aborted, [&](uint32_t hc) {
-                uint32_t pos = in_down_cone_[hc];
-                if (pos != 0) {
-                  inputs_changed[pos - 1].store(1, std::memory_order_relaxed);
-                } else {
-                  w.flagged.push_back(hc);  // memo write deferred to barrier
-                }
-              });
-          if (aborted) return false;  // rolled back; successors unreleased
-          w.resolved.push_back(c);
-          if (!changed) ++w.cutoffs;
-          return true;
-        },
-        [&](uint32_t c) { return dag_->Successors(c); },
-        [&](uint32_t s) {
-          return in_down_cone_[s] != 0 ? in_down_cone_[s] - 1
-                                       : solver::kNoScheduleSlot;
-        });
-    for (ConeWorker& w : workers) {
-      diag_.MergeFrom(w.diag);
-      cutoffs += w.cutoffs;
-      resolved += w.resolved.size();
-      for (uint32_t c : w.resolved) {
-        resolved_atoms += graph.Atoms(c).size();
-        memo_.MarkValid(c);
-        if (!resolved_in_pass.empty()) {
-          resolved_in_pass[in_down_cone_[c] - 1] = 1;
-        }
-        SyncMirror(c);
-      }
-      for (uint32_t hc : w.flagged) flag_outside(hc);
-    }
-    memo_.CountMisses(resolved);
-    memo_.CountHits(cone.size() - resolved);
-  } else {
-    // Sequential pass: ascending component ids are dependency order, so
-    // each re-solve reads final lower values — including the ones this
-    // pass just produced.
-    std::vector<uint8_t> inputs_changed(cone.size(), 0);
-    std::vector<TruthValue> old_vals;
-    std::vector<uint32_t> old_stages;
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      uint32_t c = cone[i];
-      if (memo_.Valid(c) && inputs_changed[i] == 0) {
-        memo_.CountHit();
-        continue;
-      }
-      memo_.CountMiss();
-      bool aborted = false;
-      bool changed = ResolveComponentDelta(
-          c, stages, &old_vals, &old_stages, &diag_, cancel, &aborted,
-          [&](uint32_t hc) {
-            uint32_t pos = in_down_cone_[hc];
-            if (pos != 0) {
-              inputs_changed[pos - 1] = 1;
-            } else {
-              flag_outside(hc);
-            }
-          });
-      if (aborted) break;  // c rolled back and still memo-invalid
-      ++resolved;
-      resolved_atoms += graph.Atoms(c).size();
-      memo_.MarkValid(c);
-      if (!resolved_in_pass.empty()) resolved_in_pass[i] = 1;
-      SyncMirror(c);
-      if (!changed) ++cutoffs;
-    }
-  }
-
-  if (cancel != nullptr && cancel->aborted()) {
-    // Same conservative re-queue as the aborted up-cone: any cone member
-    // not finalized this pass may have missed an inputs-changed signal
-    // the abort swallowed, so its memo entry cannot be trusted. Members
-    // finalized this pass (and their validity marks) stand.
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      if (resolved_in_pass[i] != 0) continue;
-      uint32_t c = cone[i];
-      memo_.Invalidate(c);
-      stale_reps_.push_back(graph.Atoms(c)[0]);
-    }
-  }
-
-  const uint64_t hits = cone.size() - resolved;
-  stats_.components_resolved += resolved;
-  stats_.components_reused += hits;
-  stats_.cone_cutoffs += cutoffs;
-  out->resolved_components = static_cast<uint32_t>(resolved);
-  out->memo_hits = static_cast<uint32_t>(hits);
-
-  for (uint32_t c : cone) in_down_cone_[c] = 0;
-  // Everything this pass re-validated leaves the pending set; entries for
-  // still-stale components (outside the cone) stay for the next query or
-  // `Model()` to consume.
-  std::erase_if(stale_reps_, [this, &graph](AtomId a) {
-    return memo_.Valid(graph.ComponentOf(a));
-  });
 }
 
 IncrementalSolver::QueryAnswer IncrementalSolver::QueryAtom(AtomId atom) {
@@ -1171,17 +723,20 @@ IncrementalSolver::QueryAnswer IncrementalSolver::QueryAtom(AtomId atom) {
   const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
   ++stats_.queries;
   EnsureGraph();
-  // Same carry-over resizing as the up-cone passes: new atoms (interned
-  // by rule deltas since the last pass) enter undefined.
-  model_.model.Resize(gp_.atom_count());
-  tape_.Resize(gp_.atom_count());
-  if (opts_.compute_levels) {
-    stape_.Resize(gp_.atom_count());
-    model_.true_stage.resize(gp_.atom_count(), 0);
-    model_.false_stage.resize(gp_.atom_count(), 0);
+  GrowTapes();
+  const uint32_t ncomp = cond_->graph().component_count();
+  memo_.Grow(ncomp);
+  // Fold fact-delta atoms into memo invalidations + the pending stale set,
+  // so the cone walk sees one "stale components" representation. The
+  // pushes are unconditional: a component can be invalid without being
+  // pending (never solved, or dropped by a recondensation window), and
+  // `Invalidate`'s return value cannot tell those apart. Duplicates are
+  // harmless — consumers dedupe by component.
+  for (AtomId a : dirty_) {
+    memo_.Invalidate(cond_->graph().ComponentOf(a));
+    stale_reps_.push_back(a);
   }
-  memo_.Grow(cond_->graph().component_count());
-  FoldDirtyIntoPending();
+  dirty_.clear();
 
   QueryAnswer out;
   CancelCtx* cancel = BeginCancelPass();
@@ -1192,7 +747,34 @@ IncrementalSolver::QueryAnswer IncrementalSolver::QueryAtom(AtomId atom) {
     // cancelled token).
     ++stats_.query_fastpaths;
   } else {
-    SolveDownCone(atom, &out, cancel);
+    CollectDownCone(atom);
+    out.cone_components = static_cast<uint32_t>(cone_.size());
+    for (uint32_t c : cone_) out.cone_atoms += cond_->graph().Atoms(c).size();
+    // Only stale members seed the pass; valid ones are memo hits unless
+    // a re-solve below them moves their inputs. With no stale member the
+    // answer is already on the tape (stale components elsewhere in the
+    // program cannot affect it).
+    if (!seeds_.empty()) {
+      solver::ConeExecutor::Plan plan;
+      plan.component_count = ncomp;
+      plan.scope = solver::ConeExecutor::Scope::kMembers;
+      plan.seeds = seeds_;
+      plan.members = cone_;
+      RunDeltaPass(plan, cancel);
+      out.resolved_components =
+          static_cast<uint32_t>(SettlePass(/*mirror=*/true).resolved);
+      memo_.CountMisses(out.resolved_components);
+      stats_.components_resolved += out.resolved_components;
+      // Everything this pass re-validated leaves the pending set; entries
+      // for still-stale components stay for the next query or `Model()`.
+      const AtomDependencyGraph& graph = cond_->graph();
+      std::erase_if(stale_reps_, [this, &graph](AtomId a) {
+        return memo_.Valid(graph.ComponentOf(a));
+      });
+    }
+    out.memo_hits = out.cone_components - out.resolved_components;
+    memo_.CountHits(out.memo_hits);
+    stats_.components_reused += out.memo_hits;
   }
   out.outcome =
       cancel != nullptr ? cancel->outcome() : SolveOutcome::kCompleted;

@@ -5,7 +5,6 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -56,38 +55,19 @@ struct IncrementalStats {
 /// and the last solved `WfsModel`. `Assert(fact)` enables (adding it if
 /// needed) the unit rule `fact.`; `Retract(fact)` disables it via a
 /// per-`RuleId` mask, so the rule set never shrinks and every index stays
-/// valid. `Model()` then re-solves *only the up-cone of the changed atoms*
-/// in the condensation DAG:
-///
-///   1. The components of the dirty atoms enter a min-heap keyed by
-///      component id (= dependency order).
-///   2. Components pop in increasing order; each one's atoms are reset to
-///      undefined and the component is re-run through the exact same
-///      per-SCC pipeline as `SolveWfs` (direct 3-valued evaluation /
-///      watched-counter least fixpoint / alternating fixpoint with the
-///      source-pointer unfounded-set detector), reading already-final
-///      lower values — which now include the re-solved ones.
-///   3. If the component's values all come back unchanged, the cone is cut
-///      there: dependents are not marked (they would recompute from
-///      identical inputs). Otherwise the components of the rules in which
-///      a changed atom occurs are marked in turn.
-///
-/// Every component never reached by the marking keeps its statuses
-/// verbatim — that is the entire saving, and it is exact: components are
-/// final in dependency order, so a re-solved component sees the same
-/// inputs a fresh `SolveWfs` over the mutated program would see.
-///
-/// With `SolverOptions::num_threads != 1`, deltas touching more than one
-/// component replace the min-heap by the ready-release discipline of the
-/// parallel scheduler (solver/parallel.h): the affected cone is computed
-/// up front, every in-cone component is released once its in-cone
-/// predecessors finished, and a released component re-solves only if one
-/// of its inputs actually changed (the same change pruning, tracked by
-/// per-component flags instead of heap membership). Single-component
-/// deltas — the latency-critical streaming case, whose changes usually
-/// die within a few components — keep the heap even when threaded: the
-/// parallel cone pays a release per *reachable* component, the heap only
-/// per component whose inputs moved. The model is identical either way.
+/// valid. `Model()` then re-solves *only the change-pruned up-cone of the
+/// changed atoms* in the condensation DAG, through the one schedule every
+/// pass uses (`solver::ConeExecutor`, solver/parallel.h): components run
+/// in dependency order through the exact per-SCC pipeline of `SolveWfs`,
+/// reading already-final lower values — which include the re-solved ones
+/// — and a component whose values and stages come back unchanged cuts the
+/// cone there; otherwise the components of rules in which a changed atom
+/// occurs are marked in turn. Every component never reached keeps its
+/// statuses verbatim — that is the entire saving, and it is exact. A
+/// single-component delta (the latency-critical streaming case) runs on
+/// the executor's heap at any thread count; wider deltas fan out over the
+/// work-stealing pool when `SolverOptions::num_threads != 1`. The model
+/// is identical either way.
 ///
 /// Invalidation strategy: unit rules have no body, so fact deltas never
 /// add or remove *edges* of the dependency graph — only `Assert` of a
@@ -101,7 +81,7 @@ struct IncrementalStats {
 /// whose compiled state (rule tables, tape values, stage slots) is stale;
 /// they are marked dirty and the next `Model()` re-solves just their
 /// change-pruned up-cone — the same pipeline fact deltas use. The
-/// scheduling DAG of the parallel path is patched by the matching
+/// scheduling DAG of threaded passes is patched by the matching
 /// `ComponentDag::Splice` (or rebuilt lazily after a split). Atom ids are
 /// stable throughout, so the previous model always carries over.
 ///
@@ -228,10 +208,8 @@ class IncrementalSolver {
   /// the cone members that are stale or were never solved; everything
   /// else is served from the per-component memo. Values (and stages,
   /// under `compute_levels`) are bit-identical to a full `Model()` solve
-  /// restricted to the cone, at any thread count: with
-  /// `SolverOptions::num_threads != 1` a multi-component cone runs on
-  /// the work-stealing scheduler restricted to the cone, under the same
-  /// ready-release discipline as the full parallel solve.
+  /// restricted to the cone, at any thread count: the cone runs through
+  /// the same `solver::ConeExecutor` schedule as every other pass.
   ///
   /// Composition with deltas: `Assert`/`Retract`/`AssertRule`/
   /// `RetractRule` invalidate exactly the components whose rule set
@@ -332,9 +310,7 @@ class IncrementalSolver {
   friend class check::SolverAuditor;
 
   void EnsureGraph();
-  void EnsureParallelRuntime();  ///< scheduling DAG + worker pool
   void MarkDirty(AtomId atom);
-  void Mark(uint32_t comp);
   /// Sinks a condensation repair into the solver state: dirty components
   /// (by stable representative atom) and the scheduling-DAG patch.
   void ApplyRepair(const CondensationRepair& rep);
@@ -351,23 +327,17 @@ class IncrementalSolver {
   /// and the abort/resume counters. `resolved` is the pass's re-solved
   /// component count — the cost a resume pays.
   void NoteOutcome(CancelCtx* cancel, uint64_t resolved);
-  void ResolveUpCone(CancelCtx* cancel);
-  void ResolveUpConeParallel(CancelCtx* cancel);
-  /// The one copy of the per-component delta step, shared by the
-  /// sequential heap, the parallel up-cone, and both query-cone passes:
-  /// snapshot old values/stages, re-solve — *warm* when the component
-  /// carries persisted evaluation state (solver/warm_component.h), cold
-  /// through `SolveComponent` otherwise — and invoke `flag(head_comp)`
-  /// for every out-of-component rule head whose input moved. Returns
-  /// whether anything moved; an abort restores the snapshot verbatim and
-  /// sets `*aborted`. Defined in incremental.cc (all instantiations live
-  /// there). `diag` is per-caller (per-worker on the parallel paths).
+  /// The per-component delta step every delta and query pass runs
+  /// through the executor: snapshot old values/stages, re-solve — *warm*
+  /// when the component carries persisted evaluation state
+  /// (solver/warm_component.h), cold through `SolveComponent` otherwise —
+  /// and invoke `flag(head_comp)` for every out-of-component rule head
+  /// whose input moved. An abort restores the snapshot verbatim. Scratch
+  /// and diagnostics are the lane's (per worker on threaded passes).
+  /// Defined in incremental.cc (all instantiations live there).
   template <typename FlagFn>
-  bool ResolveComponentDelta(uint32_t c, solver::StageTape* stages,
-                             std::vector<TruthValue>* old_vals,
-                             std::vector<uint32_t>* old_stages,
-                             SolverDiagnostics* diag, CancelCtx* cancel,
-                             bool* aborted, FlagFn&& flag);
+  solver::ConeStep ResolveComponentDelta(uint32_t c, solver::ConeLane* lane,
+                                         CancelCtx* cancel, FlagFn&& flag);
   /// Warm half of `ResolveComponentDelta`, non-template so it compiles
   /// once: dispatches an `Eligible` component to its persisted
   /// `WarmComponent` (resolve when `BindingValid`, rebuild-from-scratch
@@ -375,15 +345,30 @@ class IncrementalSolver {
   /// invalid binding. Returns the solve outcome like `SolveComponent`.
   bool SolveEligibleComponent(uint32_t c, solver::StageTape* stages,
                               SolverDiagnostics* diag, CancelCtx* cancel);
-  /// Moves `dirty_` (fact-delta atoms) into memo invalidations + the
-  /// pending stale set, so query and model passes see one uniform
-  /// "stale components" representation. Requires the graph.
-  void FoldDirtyIntoPending();
-  /// Solves the stale part of `atom`'s down-cone (sequential or
-  /// cone-restricted parallel), marking re-solved components valid and
-  /// invalidating dependents of actual changes. Fills `out`'s cost
-  /// fields.
-  void SolveDownCone(AtomId atom, QueryAnswer* out, CancelCtx* cancel);
+  /// Fills `cone_` with `atom`'s down-cone (ascending ids) and `seeds_`
+  /// with its memo-invalid members.
+  void CollectDownCone(AtomId atom);
+  /// Sizes the tapes and the mirror to the program's atom count.
+  void GrowTapes();
+  /// The pool a pass over `plan` runs on (building or patching the
+  /// scheduling DAG first), or null for the sequential heap.
+  WorkStealingPool* PoolFor(const solver::ConeExecutor::Plan& plan);
+  /// Runs `ResolveComponentDelta` over `plan` through `exec_`.
+  void RunDeltaPass(const solver::ConeExecutor::Plan& plan,
+                    CancelCtx* cancel);
+  /// Invalidates `comp` and queues it, by representative atom, for the
+  /// next pass.
+  void QueueStale(uint32_t comp);
+  struct PassTally {
+    uint64_t resolved = 0;        ///< components finalized
+    uint64_t resolved_atoms = 0;  ///< atoms across them
+  };
+  /// The one epilogue of every `exec_` pass: merges the lanes'
+  /// diagnostics and cutoffs; marks finalized components memo-valid and
+  /// (with `mirror`) syncs them into `model_` and the resolve log; and
+  /// invalidates and queues in `stale_reps_` every component the pass
+  /// flagged outside its scope or left unfinished after an abort.
+  PassTally SettlePass(bool mirror);
   /// Copies the tape values of `comp`'s atoms into the `model_` mirror.
   void SyncMirror(uint32_t comp);
   /// Mirrors the cumulative stats/diagnostics into registry gauges after a
@@ -395,8 +380,8 @@ class IncrementalSolver {
   unsigned threads_;               ///< resolved worker count
   std::vector<uint8_t> disabled_;  ///< per RuleId; 1 = retracted
   std::unique_ptr<DynamicCondensation> cond_;  ///< live condensation
-  std::unique_ptr<solver::ComponentDag> dag_;  ///< parallel path only
-  std::unique_ptr<WorkStealingPool> pool_;     ///< parallel path only
+  std::unique_ptr<solver::ComponentDag> dag_;  ///< threaded passes only
+  std::unique_ptr<WorkStealingPool> pool_;     ///< threaded passes only
   /// Cross-component edges from edge-only rule deltas, queued while the
   /// DAG exists but is not being read: the streaming case patches the DAG
   /// once per parallel use, not once per delta. Component ids in the
@@ -444,36 +429,21 @@ class IncrementalSolver {
   solver::ComponentMemo memo_;
   /// Stale components awaiting re-solve, as stable representative atoms
   /// (`Atoms(c)[0]` — component ids shift under recondensation windows,
-  /// atom ids never do). Fed by deltas (via FoldDirtyIntoPending) and by
-  /// query passes that changed values out-of-cone dependents must see;
-  /// consumed by both `Model()` (whole set) and `QueryAtom` (cone ∩ set).
+  /// atom ids never do). Fed by deltas (folded in at a query's entry), by
+  /// passes that changed values out-of-scope dependents must see, and by
+  /// aborted passes; consumed by both `Model()` (whole set) and
+  /// `QueryAtom` (cone ∩ set).
   std::vector<AtomId> stale_reps_;
   /// Atoms whose tape entries passes may have rewritten since the last
   /// `TakeResolveLog` (appended by `SyncMirror`; see the public
   /// `ResolveLog` contract). Only populated after `EnableResolveLog`.
   ResolveLog resolve_log_;
   bool resolve_log_enabled_ = false;
-  /// Scratch for SolveDownCone, persistent across queries like the
-  /// up-cone scratch: per-component membership cleared per pass.
-  std::vector<uint32_t> down_cone_;    ///< BFS order, then sorted ascending
-  /// Per component: 0 = outside the cone, else rank-in-`down_cone_` + 1
-  /// (one array doubles as membership flag and schedule-slot map).
-  std::vector<uint32_t> in_down_cone_;
-
-  // Up-cone worklist: marked components, popped in dependency order
-  // (sequential path).
-  std::vector<uint8_t> marked_;  ///< per component; mirrors heap membership
-  std::priority_queue<uint32_t, std::vector<uint32_t>,
-                      std::greater<uint32_t>>
-      heap_;
-
-  // Parallel up-cone scratch, persistent across deltas like `marked_` so
-  // a small delta never pays Theta(component_count) re-zeroing: only the
-  // entries of the previous pass's cone are cleared after each pass.
-  std::vector<uint32_t> cone_;       ///< BFS order of the affected cone
-  std::vector<uint8_t> in_cone_;     ///< per component
-  std::vector<uint8_t> cone_dirty_;  ///< per component: holds a dirty atom
-  std::vector<uint32_t> cone_pos_;   ///< per component: rank within cone_
+  /// The one schedule of every pass, with its per-worker lanes.
+  solver::ConeExecutor exec_;
+  std::vector<uint32_t> seeds_;  ///< a pass's seed components
+  std::vector<uint32_t> cone_;   ///< a query's down-cone, ascending
+  std::vector<uint8_t> in_down_cone_;  ///< per component; zero between walks
 
   IncrementalStats stats_;
   SolverDiagnostics diag_;

@@ -1,32 +1,27 @@
 #include "solver/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <memory>
 #include <thread>
 
-#include "obs/trace.h"
 #include "solver/component_eval.h"
 
 namespace gsls::solver {
 
 namespace {
 
-/// Packs a deduplicated (from, to) edge list into CSR successor rows plus
-/// indegrees — the shared tail of construction and splicing.
+/// Packs a deduplicated (from, to) edge list into CSR successor rows — the
+/// shared tail of construction and splicing.
 void BuildFromEdges(std::vector<uint64_t>* edges, uint32_t ncomp,
-                    Csr<uint32_t>* succ, std::vector<uint32_t>* indegree) {
+                    Csr<uint32_t>* succ) {
   std::sort(edges->begin(), edges->end());
   edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
-  indegree->assign(ncomp, 0);
   succ->Reset(ncomp);
   for (uint64_t e : *edges) succ->CountAt(static_cast<uint32_t>(e >> 32));
   succ->FinishCounting();
   for (uint64_t e : *edges) {
-    uint32_t to = static_cast<uint32_t>(e);
-    succ->Fill(static_cast<uint32_t>(e >> 32), to);
-    ++(*indegree)[to];
+    succ->Fill(static_cast<uint32_t>(e >> 32), static_cast<uint32_t>(e));
   }
   succ->FinishFilling();
 }
@@ -53,13 +48,12 @@ ComponentDag::ComponentDag(const GroundProgram& gp,
       if (bc != hc) edges.push_back((uint64_t{bc} << 32) | hc);
     }
   }
-  BuildFromEdges(&edges, ncomp, &succ_, &indegree_);
+  BuildFromEdges(&edges, ncomp, &succ_);
 }
 
 void ComponentDag::AppendIsolated(uint32_t new_component_count) {
   if (new_component_count <= component_count()) return;
   succ_.AppendEmptyRows(new_component_count - component_count());
-  indegree_.resize(new_component_count, 0);
 }
 
 void ComponentDag::Splice(const GroundProgram& gp,
@@ -109,7 +103,7 @@ void ComponentDag::Splice(const GroundProgram& gp,
   for (const auto& [from, to] : rep.new_edges) {
     edges.push_back((uint64_t{from} << 32) | to);
   }
-  BuildFromEdges(&edges, new_n, &succ_, &indegree_);
+  BuildFromEdges(&edges, new_n, &succ_);
 }
 
 unsigned ResolveThreadCount(unsigned requested) {
@@ -118,61 +112,119 @@ unsigned ResolveThreadCount(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
-namespace {
+bool ConeExecutor::Parallel(const Plan& plan, unsigned threads) {
+  if (threads <= 1) return false;
+  if (!plan.pruned) {
+    return (plan.scope == Scope::kMembers ? plan.members.size()
+                                          : plan.component_count) > 1;
+  }
+  for (uint32_t c : plan.seeds) {
+    if (c != plan.seeds.front()) return true;
+  }
+  return false;
+}
 
-/// One worker's private diagnostics, padded so neighbouring workers'
-/// counter increments never share a cache line.
-struct alignas(64) WorkerDiag {
-  SolverDiagnostics diag;
-};
+void ConeExecutor::BeginPass(size_t lanes) {
+  if (lanes_.size() < lanes) lanes_.resize(lanes);
+  lane_count_ = lanes;
+  for (ConeLane& lane : this->lanes()) {
+    lane.diag = SolverDiagnostics{};
+    lane.finalized.clear();
+    lane.outside.clear();
+    lane.unchanged = 0;
+  }
+  unfinished_.clear();
+  seed_count_ = 0;
+  scheduled_ = 0;
+}
 
-}  // namespace
+void ConeExecutor::BuildScope(const Plan& plan, const ComponentDag* dag) {
+  if (slot_.size() < plan.component_count) {
+    slot_.resize(plan.component_count, 0);
+  }
+  members_.clear();
+  auto add = [this](uint32_t c) {
+    if (slot_[c] != 0) return;
+    members_.push_back(c);
+    slot_[c] = static_cast<uint32_t>(members_.size());
+  };
+  switch (plan.scope) {
+    case Scope::kAll:
+      for (uint32_t c = 0; c < plan.component_count; ++c) add(c);
+      break;
+    case Scope::kMembers:
+      for (uint32_t c : plan.members) add(c);
+      break;
+    case Scope::kUpCone:
+      // Breadth-first from the seeds; ranks are assigned at discovery.
+      for (uint32_t c : plan.seeds) add(c);
+      for (size_t i = 0; i < members_.size(); ++i) {
+        for (uint32_t s : dag->Successors(members_[i])) add(s);
+      }
+      break;
+  }
+}
 
-void ParallelSolveAllComponentsInto(const GroundProgram& gp,
-                                    const AtomDependencyGraph& graph,
-                                    const ComponentDag& dag,
-                                    const std::vector<uint8_t>* disabled,
-                                    WorkStealingPool* pool, TruthTape* values,
-                                    StageTape* stages, SolverDiagnostics* diag,
-                                    CancelCtx* cancel,
-                                    std::vector<uint8_t>* solved) {
-  GSLS_TRACE_SPAN("solve.parallel", dag.component_count());
+void ConeExecutor::EndScope() {
+  for (uint32_t c : members_) slot_[c] = 0;
+}
+
+void RunFreshPass(ConeExecutor* exec, const GroundProgram& gp,
+                  const AtomDependencyGraph& graph, const ComponentDag* dag,
+                  WorkStealingPool* pool, const std::vector<uint8_t>* disabled,
+                  TruthTape* values, StageTape* stages, CancelCtx* cancel) {
   // The lazy occurrence index must exist before workers read it
   // concurrently.
   gp.EnsureOccurrenceIndex();
   values->Assign(gp.atom_count());
   if (stages != nullptr) stages->Assign(gp.atom_count());
+  ConeExecutor::Plan plan;
+  plan.component_count = graph.component_count();
+  plan.pruned = false;
+  exec->Run(plan, dag, pool,
+            [&](ConeLane& lane, uint32_t c, auto&& /*flag*/) {
+              lane.diag.max_component_size =
+                  std::max(lane.diag.max_component_size,
+                           static_cast<uint32_t>(graph.Atoms(c).size()));
+              return SolveComponent(gp, graph, c, disabled, values, stages,
+                                    &lane.diag, cancel)
+                         ? ConeStep::kChanged
+                         : ConeStep::kAborted;
+            });
+}
 
-  uint32_t ncomp = dag.component_count();
-  std::unique_ptr<std::atomic<uint32_t>[]> pending(
-      new std::atomic<uint32_t>[ncomp]);
-  std::vector<uint32_t> seeds;
-  for (uint32_t c = 0; c < ncomp; ++c) {
-    pending[c].store(dag.indegrees()[c], std::memory_order_relaxed);
-    if (dag.indegrees()[c] == 0) seeds.push_back(c);
+WfsModel SolveCondensation(const GroundProgram& gp,
+                           const AtomDependencyGraph& graph,
+                           const std::vector<uint8_t>* disabled,
+                           bool compute_levels, WorkStealingPool* pool,
+                           SolverDiagnostics* diag, CancelCtx* cancel) {
+  ConeExecutor exec;
+  ConeExecutor::Plan plan;
+  plan.component_count = graph.component_count();
+  plan.pruned = false;
+  std::unique_ptr<ComponentDag> dag;
+  if (pool != nullptr && ConeExecutor::Parallel(plan, pool->size())) {
+    dag = std::make_unique<ComponentDag>(gp, graph, disabled);
+  } else {
+    pool = nullptr;
   }
+  TruthTape values;
+  StageTape stages;
+  RunFreshPass(&exec, gp, graph, dag.get(), pool, disabled, &values,
+               compute_levels ? &stages : nullptr, cancel);
+  for (const ConeLane& lane : exec.lanes()) diag->MergeFrom(lane.diag);
+  diag->component_count = graph.component_count();
 
-  if (solved != nullptr) solved->assign(ncomp, 0);
-  std::vector<WorkerDiag> worker_diags(pool->size());
-  RunReadyReleaseSchedule(
-      pool, seeds, pending.get(),
-      [&](unsigned worker, uint32_t c) {
-        SolverDiagnostics& wd = worker_diags[worker].diag;
-        wd.max_component_size =
-            std::max(wd.max_component_size,
-                     static_cast<uint32_t>(graph.Atoms(c).size()));
-        if (!SolveComponent(gp, graph, c, disabled, values, stages, &wd,
-                            cancel)) {
-          return false;
-        }
-        if (solved != nullptr) (*solved)[c] = 1;
-        return true;
-      },
-      [&](uint32_t c) { return dag.Successors(c); },
-      [](uint32_t s) { return s; });
-
-  for (const WorkerDiag& wd : worker_diags) diag->MergeFrom(wd.diag);
-  diag->component_count = ncomp;
+  WfsModel out;
+  out.model = values.ToInterpretation();
+  out.iterations = static_cast<uint32_t>(diag->alternating_rounds);
+  if (cancel != nullptr) out.outcome = cancel->outcome();
+  if (compute_levels) {
+    out.true_stage = std::move(stages.true_stage);
+    out.false_stage = std::move(stages.false_stage);
+    out.has_levels = true;
+  }
+  return out;
 }
 
 }  // namespace gsls::solver

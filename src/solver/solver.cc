@@ -7,7 +7,6 @@
 #include "analysis/atom_dependency_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "solver/component_eval.h"
 #include "solver/parallel.h"
 #include "util/strings.h"
 
@@ -142,26 +141,9 @@ WfsModel SolveWfs(const GroundProgram& gp, const SolverOptions& opts,
   CancelCtx ctx(opts.cancel, opts.deadline_ns, opts.step_budget, opts.fault);
   CancelCtx* cancel = ctx.active() ? &ctx : nullptr;
   if (cancel != nullptr) cancel->BeginPass();
-  WfsModel out;
-  if (threads <= 1) {
-    out = solver::SolveAllComponents(gp, graph, /*disabled=*/nullptr,
-                                     opts.compute_levels, diag, cancel);
-  } else {
-    solver::ComponentDag dag(gp, graph);
-    solver::TruthTape values;
-    solver::StageTape stages;
-    solver::ParallelSolveAllComponentsInto(
-        gp, graph, dag, /*disabled=*/nullptr, &CachedPool(threads), &values,
-        opts.compute_levels ? &stages : nullptr, diag, cancel);
-    out.model = values.ToInterpretation();
-    out.iterations = static_cast<uint32_t>(diag->alternating_rounds);
-    if (cancel != nullptr) out.outcome = cancel->outcome();
-    if (opts.compute_levels) {
-      out.true_stage = std::move(stages.true_stage);
-      out.false_stage = std::move(stages.false_stage);
-      out.has_levels = true;
-    }
-  }
+  WfsModel out = solver::SolveCondensation(
+      gp, graph, /*disabled=*/nullptr, opts.compute_levels,
+      threads > 1 ? &CachedPool(threads) : nullptr, diag, cancel);
   diag->PublishTo(opts.telemetry);
   return out;
 }

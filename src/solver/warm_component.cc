@@ -135,28 +135,33 @@ bool WarmComponent::SolveFromScratch(const GroundProgram& gp,
                                      const std::vector<uint8_t>* disabled,
                                      TruthTape* values, StageTape* stages,
                                      SolverDiagnostics* diag,
-                                     CancelCtx* cancel) {
-  // Mirrors `SolveComponent`: the uniform component-boundary checkpoint,
-  // then the recursive-component accounting.
+                                     CancelCtx* cancel, bool persist) {
+  // The uniform component-boundary checkpoint, then the
+  // recursive-component accounting.
   if (cancel != nullptr && cancel->Checkpoint()) return false;
   GSLS_TRACE_SPAN("solve.component", comp);
   ++diag->recursive_components;
   if (graph.HasInternalNegation(comp)) ++diag->negation_components;
 
   table_ = std::make_unique<RuleTable>(gp, graph, comp, *values, disabled,
-                                       cancel, /*keep_all=*/true);
+                                       cancel, /*keep_all=*/persist);
   if (table_->aborted()) return false;  // tape untouched
   support_ = std::make_unique<SourceTracker>(table_.get());
   std::span<const AtomId> members = graph.Atoms(comp);
   atoms_.assign(members.begin(), members.end());
-  candidate_count_ = 0;
-  for (AtomId a : atoms_) candidate_count_ += gp.RulesFor(a).size();
   trail_.clear();
+  trail_.reserve(atoms_.size());
   batch_.assign(atoms_.size(), kNoBatch);
   firing_.assign(atoms_.size(), kNoRule);
   next_batch_ = 0;
-  rule_stamp_.assign(table_->rule_count(), 0);
-  stamp_ = 0;
+  // Binding and patch state only a persisted entry needs (a zero
+  // candidate count never binds).
+  candidate_count_ = 0;
+  if (persist) {
+    for (AtomId a : atoms_) candidate_count_ += gp.RulesFor(a).size();
+    rule_stamp_.assign(table_->rule_count(), 0);
+    stamp_ = 0;
+  }
   true_queue_.clear();
   false_queue_.clear();
 
@@ -174,9 +179,9 @@ bool WarmComponent::SolveFromScratch(const GroundProgram& gp,
     if (!rule.dead && rule.unsat == 0) RecordTrue(rule.head, r, values);
   }
   if (!RunToFixpoint(values, diag, cancel)) {
-    // Abort invariant parity with `SolveComponent`: the component reads
-    // exactly as on entry — all undefined. The instance itself is
-    // inconsistent now; the owner discards it.
+    // Abort invariant ("fully old or fully new"): the component reads
+    // exactly as on entry — all undefined. Stages were not touched. The
+    // instance itself is inconsistent now; the owner discards it.
     for (AtomId a : atoms_) values->SetUndefined(a);
     return false;
   }
@@ -186,6 +191,30 @@ bool WarmComponent::SolveFromScratch(const GroundProgram& gp,
     ReconstructComponentStages(gp, graph, comp, disabled, *values, stages);
   }
   return true;
+}
+
+bool WarmComponent::BlockedAt(LocalRule r, uint64_t batch,
+                              const TruthTape& values,
+                              const std::vector<uint8_t>* disabled) const {
+  if (disabled != nullptr && (*disabled)[table_->GlobalRule(r)] != 0) {
+    return true;
+  }
+  // External values are final for the whole pass: they block at any batch.
+  for (AtomId b : table_->ExtPos(r)) {
+    if (values.IsFalse(b)) return true;
+  }
+  for (AtomId b : table_->ExtNeg(r)) {
+    if (values.IsTrue(b)) return true;
+  }
+  // A positive atom may fall in the same flood (the unfounded set falls
+  // together); a derived negative must precede the batch.
+  for (LocalAtom b : table_->PosBody(r)) {
+    if (values.IsFalse(atoms_[b]) && batch_[b] <= batch) return true;
+  }
+  for (LocalAtom b : table_->NegBody(r)) {
+    if (values.IsTrue(atoms_[b]) && batch_[b] < batch) return true;
+  }
+  return false;
 }
 
 bool WarmComponent::BindingValid(const GroundProgram& gp,
@@ -281,9 +310,11 @@ bool WarmComponent::Resolve(const GroundProgram& gp,
     if (values->IsTrue(hg) && firing_[h] == r && !now_fireable) {
       tstar = std::min(tstar, batch_[h]);
     }
-    // A revived rule under a false head: the falsification rested on all
-    // of the head's rules being dead.
-    if (was_dead && !rule.dead && values->IsFalse(hg)) {
+    // A false head's falsification rested on every one of its rules being
+    // blocked by a literal decided no later than the head. A drifted rule
+    // that is unblocked now — or blocked only by a literal decided after
+    // the head fell — no longer justifies it.
+    if (values->IsFalse(hg) && !BlockedAt(r, batch_[h], *values, disabled)) {
       tstar = std::min(tstar, batch_[h]);
     }
   }
@@ -422,8 +453,10 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
     }
   }
 
-  // Per-atom state: sources live and well-formed, firing rules still
-  // satisfied, falsified atoms with every rule dead.
+  // Per-atom state: sources live and well-formed; a true atom's firing
+  // rule still satisfied by literals decided strictly earlier; every rule
+  // of a false atom blocked by a literal decided no later than the atom
+  // (a positive body atom of the same flood included).
   for (LocalAtom a = 0; a < n; ++a) {
     switch (support_->StateOf(a)) {
       case SourceTracker::State::kSourced: {
@@ -462,13 +495,27 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
           return fail(StrCat("firing rule of atom ", atoms_[a],
                              " no longer fires it"));
         }
+        // Justification order: the body was satisfied before the head.
+        for (LocalAtom b : table_->PosBody(f)) {
+          if (batch_[b] >= batch_[a]) {
+            return fail(StrCat("true atom ", atoms_[a], " fired by atom ",
+                               atoms_[b], " decided no earlier"));
+          }
+        }
+        for (LocalAtom b : table_->NegBody(f)) {
+          if (batch_[b] >= batch_[a]) {
+            return fail(StrCat("true atom ", atoms_[a], " fired by not ",
+                               atoms_[b], " decided no earlier"));
+          }
+        }
         break;
       }
       case SourceTracker::State::kFalse: {
         for (LocalRule r : table_->RulesFor(a)) {
-          if (!table_->rule(r).dead) {
-            return fail(
-                StrCat("false atom ", atoms_[a], " has a live rule"));
+          if (!BlockedAt(r, batch_[a], values, disabled)) {
+            return fail(StrCat("false atom ", atoms_[a], " has rule ",
+                               table_->GlobalRule(r),
+                               " not blocked by its batch"));
           }
         }
         break;

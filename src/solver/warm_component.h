@@ -65,17 +65,20 @@ class WarmComponent {
            graph.Atoms(comp).size() >= warm_min_atoms;
   }
 
-  /// Cold-compiles the keep-all table and runs the full alternating
-  /// fixpoint with trail recording — `SolveComponent`'s contract (entry
-  /// checkpoint, all atoms undefined on entry, tape reset to undefined on
-  /// abort), producing the same values and stages plus a reusable warm
-  /// state. False iff the pass aborted; the instance is then inconsistent
-  /// and must be discarded.
+  /// Cold-compiles the component's table and runs the full alternating
+  /// fixpoint with trail recording under `SolveComponent`'s contract
+  /// (entry checkpoint, all atoms undefined on entry, tape reset to
+  /// undefined on abort). With `persist`, the table is the keep-all one
+  /// and the instance is a reusable warm state; without it, this is the
+  /// cold recursive-component solve `SolveComponent` runs, and the
+  /// instance must not be resumed. False iff the pass aborted; the
+  /// instance is then inconsistent and must be discarded.
   bool SolveFromScratch(const GroundProgram& gp,
                         const AtomDependencyGraph& graph, uint32_t comp,
                         const std::vector<uint8_t>* disabled,
                         TruthTape* values, StageTape* stages,
-                        SolverDiagnostics* diag, CancelCtx* cancel);
+                        SolverDiagnostics* diag, CancelCtx* cancel,
+                        bool persist = true);
 
   /// True iff this warm state still describes component `comp`: identical
   /// atom sequence (a recondensation that reordered or re-grouped members
@@ -117,6 +120,12 @@ class WarmComponent {
   void RecordFalse(LocalAtom a, uint64_t batch, TruthTape* values);
   void Kill(LocalRule r);
   bool Propagate(TruthTape* values, CancelCtx* cancel);
+  /// True iff rule `r` is blocked by a literal decided no later than
+  /// `batch`: the rule is disabled, an external literal blocks it, an
+  /// internal positive atom fell at a batch <= `batch`, or an internal
+  /// negative atom was derived at a batch < `batch`.
+  bool BlockedAt(LocalRule r, uint64_t batch, const TruthTape& values,
+                 const std::vector<uint8_t>* disabled) const;
   /// The shared alternating loop (lfp propagation x unfounded floods),
   /// from whatever queues/pending are seeded. False on abort.
   bool RunToFixpoint(TruthTape* values, SolverDiagnostics* diag,

@@ -6,6 +6,11 @@
 // audit clean (check::AuditSolver — every component fully old or fully
 // new), and after disarming + resuming, the recovered model and stages
 // must be bit-identical to a from-scratch solve of the same program.
+// Each drill runs twice: with the default warm threshold (every component
+// of the scenario re-solves cold) and with `warm_min_atoms = 2`, which
+// makes its two-atom recursive components (a2/a3, p/q, w1/w2, g1/g2)
+// persist warm interior state, so trips also land inside warm
+// `Resolve`/`SolveFromScratch` and must evict the entry cleanly.
 
 #include <memory>
 #include <vector>
@@ -49,9 +54,10 @@ struct Scenario {
   CancelToken token;
   FaultInjector fault;
 
-  explicit Scenario(unsigned threads) {
+  Scenario(unsigned threads, uint32_t warm_min_atoms) {
     SolverOptions opts;
     opts.num_threads = threads;
+    opts.warm_min_atoms = warm_min_atoms;
     opts.compute_levels = true;
     opts.cancel = &token;
     opts.fault = &fault;
@@ -82,6 +88,10 @@ struct Scenario {
     inc->RetractRule(rid);                         // split the merge back
     inc->Model();
     inc->QueryAtom(T("c2"));
+    // Restoring a0 re-solves the two-atom SCCs the split re-created — from
+    // persisted state when they are warm-eligible.
+    inc->Assert(T("a0"));
+    inc->Model();
   }
 };
 
@@ -108,19 +118,24 @@ void ExpectRecoveredEqualsFresh(Scenario& s, int k) {
       << "false stages diverge after trip " << k;
 }
 
-uint64_t CountCheckpoints(unsigned threads) {
-  Scenario s(threads);
+/// `warm_min_atoms` values the drills run under: the default (cold
+/// re-solves only) and 2 (the scenario's two-atom SCCs go warm).
+constexpr uint32_t kColdThreshold = SolverOptions{}.warm_min_atoms;
+constexpr uint32_t kWarmThreshold = 2;
+
+uint64_t CountCheckpoints(unsigned threads, uint32_t warm_min_atoms) {
+  Scenario s(threads, warm_min_atoms);
   s.fault.Arm(0);  // count, never trip
   s.Run();
   EXPECT_FALSE(s.fault.tripped());
   return s.fault.checkpoints();
 }
 
-void ExhaustiveAbortRecovery(unsigned threads) {
-  const uint64_t n = CountCheckpoints(threads);
+void ExhaustiveAbortRecovery(unsigned threads, uint32_t warm_min_atoms) {
+  const uint64_t n = CountCheckpoints(threads, warm_min_atoms);
   ASSERT_GT(n, 0u);
   for (uint64_t k = 1; k <= n; ++k) {
-    Scenario s(threads);
+    Scenario s(threads, warm_min_atoms);
     s.fault.Arm(k);
     s.Run();
     ASSERT_TRUE(s.fault.tripped())
@@ -137,15 +152,36 @@ void ExhaustiveAbortRecovery(unsigned threads) {
 }
 
 TEST(FaultInjectionTest, ExhaustiveAbortRecoverySequential) {
-  ExhaustiveAbortRecovery(1);
+  ExhaustiveAbortRecovery(1, kColdThreshold);
 }
 
 TEST(FaultInjectionTest, ExhaustiveAbortRecoveryTwoThreads) {
-  ExhaustiveAbortRecovery(2);
+  ExhaustiveAbortRecovery(2, kColdThreshold);
 }
 
 TEST(FaultInjectionTest, ExhaustiveAbortRecoveryFourThreads) {
-  ExhaustiveAbortRecovery(4);
+  ExhaustiveAbortRecovery(4, kColdThreshold);
+}
+
+TEST(FaultInjectionTest, ExhaustiveAbortRecoveryWarmSequential) {
+  ExhaustiveAbortRecovery(1, kWarmThreshold);
+}
+
+TEST(FaultInjectionTest, ExhaustiveAbortRecoveryWarmTwoThreads) {
+  ExhaustiveAbortRecovery(2, kWarmThreshold);
+}
+
+TEST(FaultInjectionTest, ExhaustiveAbortRecoveryWarmFourThreads) {
+  ExhaustiveAbortRecovery(4, kWarmThreshold);
+}
+
+// The warm drills must actually reach the warm path: the scenario's
+// deltas re-solve at least one two-atom SCC from persisted state.
+TEST(FaultInjectionTest, WarmScenarioTakesTheWarmPath) {
+  Scenario s(1, kWarmThreshold);
+  s.fault.Arm(0);
+  s.Run();
+  EXPECT_GT(s.inc->diagnostics().warm_hits, 0u);
 }
 
 // The checkpoint count of a *completed* scenario is schedule-independent:
@@ -153,9 +189,11 @@ TEST(FaultInjectionTest, ExhaustiveAbortRecoveryFourThreads) {
 // ticks, none of which depend on worker interleaving. This is what makes
 // one learned N exhaustive at every thread count.
 TEST(FaultInjectionTest, CheckpointCountIsThreadCountInvariant) {
-  const uint64_t n1 = CountCheckpoints(1);
-  EXPECT_EQ(n1, CountCheckpoints(2));
-  EXPECT_EQ(n1, CountCheckpoints(4));
+  for (uint32_t warm : {kColdThreshold, kWarmThreshold}) {
+    const uint64_t n1 = CountCheckpoints(1, warm);
+    EXPECT_EQ(n1, CountCheckpoints(2, warm)) << "warm_min_atoms " << warm;
+    EXPECT_EQ(n1, CountCheckpoints(4, warm)) << "warm_min_atoms " << warm;
+  }
 }
 
 // A trip with no caller-supplied token must still persist across pass

@@ -89,15 +89,13 @@ void ToggleRule(IncrementalSolver& inc, RuleId r) {
   }
 }
 
-/// One churn sequence inside a single giant negation-recursive SCC at one
-/// thread count, with warm-starting forced on (`warm_min_atoms = 2`):
-/// every delta is checked against the fresh masked solve, the independent
-/// alternating-fixpoint oracle, and the full solver audit — which
-/// re-derives the warm entries' counters, source acyclicity, and trail
-/// justification against the live tape.
-void RunWarmChurn(uint64_t seed, unsigned threads) {
-  Rng gen(seed);
-  Fixture f(OneSccGame(gen, 90, 2));
+/// One churn sequence over `src` at one thread count, with warm-starting
+/// forced on (`warm_min_atoms = 2`): every delta is checked against the
+/// fresh masked solve, the independent alternating-fixpoint oracle, and
+/// the full solver audit — which re-derives the warm entries' counters,
+/// source acyclicity, and trail justification against the live tape.
+void RunWarmChurn(const std::string& src, uint64_t seed, unsigned threads) {
+  Fixture f(src);
   SolverOptions opts;
   opts.num_threads = threads;
   opts.compute_levels = true;
@@ -146,16 +144,85 @@ void RunWarmChurn(uint64_t seed, unsigned threads) {
   EXPECT_GT(final_report.warm_entries_checked, 0u) << "threads " << threads;
 }
 
+/// The giant-SCC input: a 90-node cycle with two chords per node.
+void RunGiantSccChurn(uint64_t seed, unsigned threads) {
+  Rng gen(seed);
+  RunWarmChurn(OneSccGame(gen, 90, 2), seed, threads);
+}
+
+/// The random-game input: 12 nodes with 25% of ordered pairs as moves,
+/// which splits into several small negation-recursive components whose
+/// falsifications often rest on a single external move fact.
+void RunRandomGameChurn(uint64_t seed, unsigned threads) {
+  Rng gen(seed);
+  RunWarmChurn(testing::RandomGameProgram(gen, 12, 25), seed, threads);
+}
+
 TEST(InteriorTest, WarmChurnInGiantSccAgreesEverywhereSequential) {
-  RunWarmChurn(11, 1);
+  RunGiantSccChurn(11, 1);
 }
 
 TEST(InteriorTest, WarmChurnInGiantSccAgreesEverywhereTwoThreads) {
-  RunWarmChurn(12, 2);
+  RunGiantSccChurn(12, 2);
 }
 
 TEST(InteriorTest, WarmChurnInGiantSccAgreesEverywhereFourThreads) {
-  RunWarmChurn(13, 4);
+  RunGiantSccChurn(13, 4);
+}
+
+TEST(InteriorTest, WarmChurnInRandomGameAgreesEverywhereSequential) {
+  RunRandomGameChurn(39, 1);
+}
+
+TEST(InteriorTest, WarmChurnInRandomGameAgreesEverywhereTwoThreads) {
+  RunRandomGameChurn(33, 2);
+}
+
+TEST(InteriorTest, WarmChurnInRandomGameAgreesEverywhereFourThreads) {
+  RunRandomGameChurn(38, 4);
+}
+
+/// The smallest warm-interior regression: two positions that move to each
+/// other. Retracting `move(a,b)` makes `win(a)` false and `win(b)` true,
+/// both recorded on the warm trail; re-asserting it revives `win(a)`'s
+/// rule only on the external side — its internal literal `not win(b)`
+/// still reads false, but `win(b)` was decided *after* `win(a)` fell, so
+/// it cannot justify the falsification. Both atoms must return to
+/// undefined, and the audit must find every decision justified in batch
+/// order.
+TEST(InteriorTest, TwoCycleRevertsToUndefinedAfterRetractAndReassert) {
+  Fixture f(R"(
+    move(a,b). move(b,a).
+    win(X) :- move(X,Y), not win(Y).
+  )");
+  SolverOptions opts;
+  opts.compute_levels = true;
+  opts.warm_min_atoms = 2;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  const Term* win_a = MustParseTerm(f.store, "win(a)");
+  const Term* win_b = MustParseTerm(f.store, "win(b)");
+  const Term* move_ab = MustParseTerm(f.store, "move(a,b)");
+  EXPECT_EQ(inc.ValueOf(win_a), TruthValue::kUndefined);
+
+  ASSERT_TRUE(inc.Retract(move_ab));
+  EXPECT_EQ(inc.ValueOf(win_a), TruthValue::kFalse);
+  EXPECT_EQ(inc.ValueOf(win_b), TruthValue::kTrue);
+  check::AuditReport after_retract = check::AuditSolver(inc);
+  ASSERT_TRUE(after_retract.ok()) << after_retract.ToString();
+  ASSERT_EQ(after_retract.warm_entries_checked, 1u);
+
+  ASSERT_TRUE(inc.Assert(move_ab));
+  const WfsModel& got = inc.Model();
+  check::AuditReport report = check::AuditSolver(inc);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(inc.ValueOf(win_a), TruthValue::kUndefined);
+  EXPECT_EQ(inc.ValueOf(win_b), TruthValue::kUndefined);
+  WfsModel fresh = inc.SolveFresh();
+  EXPECT_EQ(got.model, fresh.model)
+      << DescribeModelDifference(inc.program(), got.model, fresh.model);
+  EXPECT_EQ(got.true_stage, fresh.true_stage);
+  EXPECT_EQ(got.false_stage, fresh.false_stage);
+  EXPECT_GT(inc.diagnostics().warm_hits, 0u);
 }
 
 /// Same delta stream at 1, 2, and 4 threads: the warm/cold dispatch is
