@@ -194,15 +194,18 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
     }
     // A pending component (queued by a delta, a query that moved its
     // inputs, or an abort) legitimately holds drifted externals: its next
-    // re-solve reconciles them. Only settled entries must be reconciled.
-    if (!effectively_valid(c)) continue;
+    // re-solve reconciles them, so its entry is audited against the inputs
+    // it last reconciled with.
+    const bool settled = effectively_valid(c);
     std::string why;
-    if (!entry->AuditInvariants(gp, g, c, &s.disabled_, s.tape_, &why)) {
+    if (!entry->AuditInvariants(gp, g, c, &s.disabled_, s.tape_, settled,
+                                &why)) {
       Fail(&report, StrCat("warm state of component ", c, " (rep ", key,
                            "): ", why));
       continue;
     }
     ++report.warm_entries_checked;
+    if (!settled) ++report.warm_pending_entries_checked;
   }
 
   if (!s.solved_) return report;

@@ -31,6 +31,9 @@ struct AuditReport {
   /// Persisted warm-component entries whose invariants (binding, counter
   /// recounts, source acyclicity, trail justification) were re-derived.
   uint32_t warm_entries_checked = 0;
+  /// Of those, entries of pending components (memo-invalid or holding a
+  /// fact delta not yet folded), audited against their snapshots.
+  uint32_t warm_pending_entries_checked = 0;
 
   // --- serving-layer coverage (`AuditServing` only) ---
 
@@ -86,8 +89,10 @@ struct AuditReport {
 ///     atom and passes `AuditInvariants` against the live tape and mask —
 ///     cached rule counters equal a from-scratch recount, source pointers
 ///     are live and acyclic, snapshots are reconciled, and the decision
-///     trail is batch-monotone with every decision justified. This is the
-///     "provably consistent or discarded" half of the warm-start
+///     trail is batch-monotone with every decision justified in order. A
+///     pending component's entry need not be reconciled; it is checked
+///     against the external values and mask its snapshots record. This is
+///     the "provably consistent or discarded" half of the warm-start
 ///     contract; the discard half is exercised by abort/recondensation
 ///     tests.
 ///

@@ -494,6 +494,7 @@ void IncrementalSolver::QueueStale(uint32_t comp) {
 IncrementalSolver::PassTally IncrementalSolver::SettlePass(bool mirror) {
   const AtomDependencyGraph& graph = cond_->graph();
   PassTally tally;
+  std::vector<uint32_t> outside;
   for (solver::ConeLane& lane : exec_.lanes()) {
     diag_.MergeFrom(lane.diag);
     stats_.cone_cutoffs += lane.unchanged;
@@ -503,10 +504,13 @@ IncrementalSolver::PassTally IncrementalSolver::SettlePass(bool mirror) {
       memo_.MarkValid(c);
       if (mirror) SyncMirror(c);
     }
-    // Dependents outside the scope whose inputs moved: stale until a
-    // later pass reaches them.
-    for (uint32_t c : lane.outside) QueueStale(c);
+    outside.insert(outside.end(), lane.outside.begin(), lane.outside.end());
   }
+  // Dependents outside the scope whose inputs moved (flagged once per
+  // moved input): stale until a later pass reaches them.
+  std::sort(outside.begin(), outside.end());
+  outside.erase(std::unique(outside.begin(), outside.end()), outside.end());
+  for (uint32_t c : outside) QueueStale(c);
   // Cut off by an abort: each holds its entry state and resumes later.
   for (uint32_t c : exec_.unfinished()) QueueStale(c);
   return tally;
@@ -532,7 +536,6 @@ const WfsModel& IncrementalSolver::Model() {
     // Every component is scheduled, so older markers are subsumed.
     dirty_.clear();
     stale_reps_.clear();
-    plan.pruned = false;
     WorkStealingPool* pool = PoolFor(plan);
     solver::RunFreshPass(&exec_, gp_, graph, dag_.get(), pool, &disabled_,
                          &tape_, opts_.compute_levels ? &stape_ : nullptr,
@@ -547,7 +550,7 @@ const WfsModel& IncrementalSolver::Model() {
     for (AtomId a : stale_reps_) seeds_.push_back(graph.ComponentOf(a));
     dirty_.clear();
     stale_reps_.clear();
-    plan.scope = solver::ConeExecutor::Scope::kUpCone;
+    plan.pass = solver::ConeExecutor::Pass::kUpCone;
     plan.seeds = seeds_;
     RunDeltaPass(plan, cancel);
   }
@@ -757,7 +760,7 @@ IncrementalSolver::QueryAnswer IncrementalSolver::QueryAtom(AtomId atom) {
     if (!seeds_.empty()) {
       solver::ConeExecutor::Plan plan;
       plan.component_count = ncomp;
-      plan.scope = solver::ConeExecutor::Scope::kMembers;
+      plan.pass = solver::ConeExecutor::Pass::kMembers;
       plan.seeds = seeds_;
       plan.members = cone_;
       RunDeltaPass(plan, cancel);

@@ -114,10 +114,7 @@ unsigned ResolveThreadCount(unsigned requested) {
 
 bool ConeExecutor::Parallel(const Plan& plan, unsigned threads) {
   if (threads <= 1) return false;
-  if (!plan.pruned) {
-    return (plan.scope == Scope::kMembers ? plan.members.size()
-                                          : plan.component_count) > 1;
-  }
+  if (plan.pass == Pass::kFresh) return plan.component_count > 1;
   for (uint32_t c : plan.seeds) {
     if (c != plan.seeds.front()) return true;
   }
@@ -148,14 +145,14 @@ void ConeExecutor::BuildScope(const Plan& plan, const ComponentDag* dag) {
     members_.push_back(c);
     slot_[c] = static_cast<uint32_t>(members_.size());
   };
-  switch (plan.scope) {
-    case Scope::kAll:
+  switch (plan.pass) {
+    case Pass::kFresh:
       for (uint32_t c = 0; c < plan.component_count; ++c) add(c);
       break;
-    case Scope::kMembers:
+    case Pass::kMembers:
       for (uint32_t c : plan.members) add(c);
       break;
-    case Scope::kUpCone:
+    case Pass::kUpCone:
       // Breadth-first from the seeds; ranks are assigned at discovery.
       for (uint32_t c : plan.seeds) add(c);
       for (size_t i = 0; i < members_.size(); ++i) {
@@ -180,7 +177,6 @@ void RunFreshPass(ConeExecutor* exec, const GroundProgram& gp,
   if (stages != nullptr) stages->Assign(gp.atom_count());
   ConeExecutor::Plan plan;
   plan.component_count = graph.component_count();
-  plan.pruned = false;
   exec->Run(plan, dag, pool,
             [&](ConeLane& lane, uint32_t c, auto&& /*flag*/) {
               lane.diag.max_component_size =
@@ -198,10 +194,11 @@ WfsModel SolveCondensation(const GroundProgram& gp,
                            const std::vector<uint8_t>* disabled,
                            bool compute_levels, WorkStealingPool* pool,
                            SolverDiagnostics* diag, CancelCtx* cancel) {
-  ConeExecutor exec;
+  // Cached per calling thread, like the one-shot pools: on a small program
+  // a fresh executor's lane set-up is a visible share of the whole solve.
+  thread_local ConeExecutor exec;
   ConeExecutor::Plan plan;
   plan.component_count = graph.component_count();
-  plan.pruned = false;
   std::unique_ptr<ComponentDag> dag;
   if (pool != nullptr && ConeExecutor::Parallel(plan, pool->size())) {
     dag = std::make_unique<ComponentDag>(gp, graph, disabled);

@@ -2,7 +2,6 @@
 #define GSLS_SOLVER_PARALLEL_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -141,7 +140,7 @@ enum class ConeStep : uint8_t {
 struct alignas(64) ConeLane {
   SolverDiagnostics diag;            ///< merged by the caller after a pass
   std::vector<uint32_t> finalized;   ///< components finalized, in order
-  std::vector<uint32_t> outside;     ///< flagged components outside scope
+  std::vector<uint32_t> outside;     ///< flagged outside scope; may repeat
   uint64_t unchanged = 0;            ///< finalized with nothing moved
   std::vector<TruthValue> old_vals;  ///< step scratch (value snapshot)
   std::vector<uint32_t> old_stages;  ///< step scratch (stage snapshot)
@@ -150,15 +149,16 @@ struct alignas(64) ConeLane {
 /// The one schedule of every whole-model and cone pass: the components of
 /// a scope, each through a caller step, in dependency order.
 ///
-/// A `Plan` names the *scope* (every component, the up-cone reachable from
-/// the seeds, or an explicit ascending member list such as a query's
-/// down-cone), the *seeds* (components whose own inputs changed), and
-/// whether non-seed members are *change-pruned* — run only once a
-/// finalized predecessor flags them — or all run. `step(lane, comp,
-/// flag)` solves one component and calls `flag(head_comp)` for every
-/// dependent whose input moved; it is a template parameter, so there is
-/// no indirect call per component. A flagged component inside the scope
-/// is marked to run; one outside it lands in the lane's `outside` list.
+/// A `Plan` names the pass kind and its *seeds* (components whose own
+/// inputs changed): a fresh pass runs every component; an up-cone pass
+/// (everything reachable from the seeds) and a members pass (an explicit
+/// ascending list, such as a query's down-cone) are *change-pruned* — a
+/// non-seed member runs only once a finalized predecessor flags it.
+/// `step(lane, comp, flag)` solves one component and calls
+/// `flag(head_comp)` for every dependent whose input moved; it is a
+/// template parameter, so there is no indirect call per component. A
+/// flagged component inside the scope is marked to run; one outside it
+/// lands in the lane's `outside` list.
 ///
 /// `Parallel` picks the schedule from the input alone. Sequential (one
 /// thread, or a single seed component): a min-heap of marked components
@@ -170,26 +170,25 @@ struct alignas(64) ConeLane {
 /// count (one boundary checkpoint each) are thread-count invariant.
 ///
 /// After a pass, `unfinished()` lists every marked component (a seed, a
-/// flagged member, or any member of an unpruned scope) that did not
+/// flagged member, or any component of a fresh pass) that did not
 /// finalize: empty unless a step aborted, and those hold their entry
-/// state. An unpruned pass over an up-cone is not supported.
+/// state.
 class ConeExecutor {
  public:
-  enum class Scope : uint8_t {
-    kAll,      ///< components [0, component_count)
-    kUpCone,   ///< everything reachable from the seeds in the DAG
-    kMembers,  ///< exactly `members` (ascending ids)
+  enum class Pass : uint8_t {
+    kFresh,    ///< components [0, component_count), all run
+    kUpCone,   ///< everything reachable from the seeds, change-pruned
+    kMembers,  ///< exactly `members` (ascending ids), change-pruned
   };
   struct Plan {
+    Pass pass = Pass::kFresh;
     uint32_t component_count = 0;
-    Scope scope = Scope::kAll;
     std::span<const uint32_t> seeds;    ///< duplicates allowed
     std::span<const uint32_t> members;  ///< `kMembers` only
-    bool pruned = true;
   };
 
   /// Whether `plan` runs threaded at `threads` workers: more than one
-  /// worker and more than one seed component (member, when unpruned).
+  /// worker and more than one seed component (component, when fresh).
   static bool Parallel(const Plan& plan, unsigned threads);
 
   /// Runs one pass. `pool` null selects the sequential heap; otherwise
@@ -247,7 +246,6 @@ class ConeExecutor {
 template <typename StepFn>
 void ConeExecutor::Run(const Plan& plan, const ComponentDag* dag,
                        WorkStealingPool* pool, StepFn&& step) {
-  assert(plan.pruned || plan.scope != Scope::kUpCone);
   BeginPass(pool == nullptr ? 1 : pool->size());
   if (pool == nullptr) {
     RunHeap(plan, step);
@@ -258,12 +256,28 @@ void ConeExecutor::Run(const Plan& plan, const ComponentDag* dag,
 
 template <typename StepFn>
 void ConeExecutor::RunHeap(const Plan& plan, StepFn& step) {
+  ConeLane& lane = lanes_[0];
+  if (plan.pass == Pass::kFresh) {
+    // Every component runs, so ascending order needs no heap and flags
+    // have nothing to mark.
+    const uint32_t size = plan.component_count;
+    auto ignore = [](uint32_t) {};
+    seed_count_ = size;
+    lane.finalized.reserve(size);
+    for (uint32_t c = 0; c < size; ++c) {
+      ++scheduled_;
+      if (Process(lane, c, step, ignore)) continue;
+      for (; c < size; ++c) unfinished_.push_back(c);
+      break;
+    }
+    return;
+  }
   // Only an explicit member list needs its slots (to route flags): an
   // up-cone is never enumerated — that is the heap's saving — and
   // everything is trivially in scope.
-  const bool scoped = plan.scope == Scope::kMembers;
+  const bool scoped = plan.pass == Pass::kMembers;
   if (scoped) BuildScope(plan, nullptr);
-  if (plan.pruned && marked_.size() < plan.component_count) {
+  if (marked_.size() < plan.component_count) {
     marked_.resize(plan.component_count, 0);
   }
   auto mark = [this](uint32_t c) {
@@ -271,44 +285,28 @@ void ConeExecutor::RunHeap(const Plan& plan, StepFn& step) {
     marked_[c] = 1;
     heap_.push(c);
   };
-  ConeLane& lane = lanes_[0];
   auto flag = [&](uint32_t hc) {
     if (scoped && slot_[hc] == 0) {
       lane.outside.push_back(hc);
-    } else if (plan.pruned) {
+    } else {
       mark(hc);
     }
   };
   // Dependents carry larger ids, so a component that ran is never marked
   // again, and every step reads final lower values — including the ones
   // this pass just produced.
-  if (!plan.pruned) {
-    // Every member runs, so ascending order needs no heap.
-    const uint32_t size = scoped ? static_cast<uint32_t>(members_.size())
-                                 : plan.component_count;
-    auto member = [&](uint32_t i) { return scoped ? members_[i] : i; };
-    seed_count_ = size;
-    lane.finalized.reserve(size);
-    for (uint32_t i = 0; i < size; ++i) {
-      ++scheduled_;
-      if (Process(lane, member(i), step, flag)) continue;
-      for (; i < size; ++i) unfinished_.push_back(member(i));
-      break;
-    }
-  } else {
-    for (uint32_t c : plan.seeds) mark(c);
-    seed_count_ = static_cast<uint32_t>(heap_.size());
-    while (!heap_.empty()) {
-      const uint32_t c = heap_.top();
-      heap_.pop();
-      marked_[c] = 0;
-      ++scheduled_;
-      if (Process(lane, c, step, flag)) continue;
-      unfinished_.push_back(c);
-      for (; !heap_.empty(); heap_.pop()) {
-        unfinished_.push_back(heap_.top());
-        marked_[heap_.top()] = 0;
-      }
+  for (uint32_t c : plan.seeds) mark(c);
+  seed_count_ = static_cast<uint32_t>(heap_.size());
+  while (!heap_.empty()) {
+    const uint32_t c = heap_.top();
+    heap_.pop();
+    marked_[c] = 0;
+    ++scheduled_;
+    if (Process(lane, c, step, flag)) continue;
+    unfinished_.push_back(c);
+    for (; !heap_.empty(); heap_.pop()) {
+      unfinished_.push_back(heap_.top());
+      marked_[heap_.top()] = 0;
     }
   }
   if (scoped) EndScope();
@@ -324,14 +322,15 @@ void ConeExecutor::RunReady(const Plan& plan, const ComponentDag& dag,
   auto slot = [this](uint32_t c) { return slot_[c] - 1; };
 
   // Release counters count in-scope predecessors only (everything else
-  // is already final); marks start at the seeds, or everywhere unpruned.
+  // is already final); marks start at the seeds, or everywhere when fresh.
   std::unique_ptr<std::atomic<uint32_t>[]> pending(
       new std::atomic<uint32_t>[size]);
   std::unique_ptr<std::atomic<uint8_t>[]> marks(
       new std::atomic<uint8_t>[size]);
+  const bool fresh = plan.pass == Pass::kFresh;
   for (uint32_t i = 0; i < size; ++i) {
     pending[i].store(0, std::memory_order_relaxed);
-    marks[i].store(plan.pruned ? 0 : 1, std::memory_order_relaxed);
+    marks[i].store(fresh ? 1 : 0, std::memory_order_relaxed);
   }
   for (uint32_t c : members_) {
     for (uint32_t s : dag.Successors(c)) {
@@ -340,8 +339,8 @@ void ConeExecutor::RunReady(const Plan& plan, const ComponentDag& dag,
       }
     }
   }
-  seed_count_ = plan.pruned ? 0 : size;
-  if (plan.pruned) {
+  seed_count_ = fresh ? size : 0;
+  if (!fresh) {
     for (uint32_t c : plan.seeds) {
       if (marks[slot(c)].exchange(1, std::memory_order_relaxed) == 0) {
         ++seed_count_;
@@ -391,7 +390,7 @@ void ConeExecutor::RunReady(const Plan& plan, const ComponentDag& dag,
 }
 
 /// The from-scratch whole-model pass: every component of `graph` through
-/// `SolveComponent`, in `exec`'s unpruned everything-scope schedule.
+/// `SolveComponent`, in `exec`'s fresh-pass schedule.
 /// `*values` (and `*stages` when non-null) are reset to all-undefined
 /// first. With `pool` non-null, `dag` must describe `graph`. After an
 /// abort the components in `exec->unfinished()` keep that reset state.

@@ -44,28 +44,32 @@ void ExpectedCounters(const RuleTable& t, LocalRule r, const TruthTape& tape,
 }  // namespace
 
 void WarmComponent::RecordTrue(LocalAtom a, LocalRule r, TruthTape* values) {
-  AtomId g = atoms_[a];
+  AtomId g = table_->GlobalAtom(a);
   if (values->IsTrue(g)) return;
   // A rule fires only with a wholly satisfied body, which never includes
   // an unfounded atom, so a fired head cannot have been falsified.
   assert(!values->IsFalse(g));
   values->SetTrue(g);
   support_->OnAtomTrue(a);
-  batch_[a] = next_batch_++;
-  firing_[a] = r;
-  trail_.push_back(a);
+  if (persist_) {
+    batch_[a] = next_batch_++;
+    firing_[a] = r;
+    trail_.push_back(a);
+  }
   true_queue_.push_back(a);
 }
 
 void WarmComponent::RecordFalse(LocalAtom a, uint64_t batch,
                                 TruthTape* values) {
-  AtomId g = atoms_[a];
+  AtomId g = table_->GlobalAtom(a);
   if (values->IsFalse(g)) return;
   assert(!values->IsTrue(g));
   values->SetFalse(g);
-  batch_[a] = batch;
-  firing_[a] = kNoRule;
-  trail_.push_back(a);
+  if (persist_) {
+    batch_[a] = batch;
+    firing_[a] = kNoRule;
+    trail_.push_back(a);
+  }
   false_queue_.push_back(a);
 }
 
@@ -148,16 +152,18 @@ bool WarmComponent::SolveFromScratch(const GroundProgram& gp,
   if (table_->aborted()) return false;  // tape untouched
   support_ = std::make_unique<SourceTracker>(table_.get());
   std::span<const AtomId> members = graph.Atoms(comp);
-  atoms_.assign(members.begin(), members.end());
-  trail_.clear();
-  trail_.reserve(atoms_.size());
-  batch_.assign(atoms_.size(), kNoBatch);
-  firing_.assign(atoms_.size(), kNoRule);
   next_batch_ = 0;
-  // Binding and patch state only a persisted entry needs (a zero
-  // candidate count never binds).
+  // Trail, binding and patch state only a persisted entry needs (an empty
+  // atom sequence never binds).
+  persist_ = persist;
+  atoms_.clear();
+  trail_.clear();
   candidate_count_ = 0;
   if (persist) {
+    atoms_.assign(members.begin(), members.end());
+    trail_.reserve(atoms_.size());
+    batch_.assign(atoms_.size(), kNoBatch);
+    firing_.assign(atoms_.size(), kNoRule);
     for (AtomId a : atoms_) candidate_count_ += gp.RulesFor(a).size();
     rule_stamp_.assign(table_->rule_count(), 0);
     stamp_ = 0;
@@ -182,7 +188,7 @@ bool WarmComponent::SolveFromScratch(const GroundProgram& gp,
     // Abort invariant ("fully old or fully new"): the component reads
     // exactly as on entry — all undefined. Stages were not touched. The
     // instance itself is inconsistent now; the owner discards it.
-    for (AtomId a : atoms_) values->SetUndefined(a);
+    for (AtomId a : members) values->SetUndefined(a);
     return false;
   }
   diag->unfounded_floods += support_->floods();
@@ -386,13 +392,33 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
                                     uint32_t comp,
                                     const std::vector<uint8_t>* disabled,
                                     const TruthTape& values,
-                                    std::string* why) const {
+                                    bool settled, std::string* why) const {
   auto fail = [why](std::string reason) {
     if (why != nullptr) *why = std::move(reason);
     return false;
   };
   if (table_ == nullptr || support_ == nullptr) {
     return fail("warm entry has no table/tracker");
+  }
+  if (!settled) {
+    // Inputs may have moved since the last reconcile: audit against the
+    // external values and mask the snapshots record instead.
+    TruthTape snap_values = values;
+    for (uint32_t i = 0; i < table_->external_count(); ++i) {
+      snap_values.SetValue(
+          table_->ExternalAtom(i),
+          static_cast<TruthValue>(table_->ExternalSnapshot(i)));
+    }
+    std::vector<uint8_t> snap_mask;
+    if (disabled != nullptr) {
+      snap_mask = *disabled;
+      for (LocalRule r = 0; r < table_->rule_count(); ++r) {
+        snap_mask[table_->GlobalRule(r)] = table_->DisabledSnapshot(r);
+      }
+    }
+    return AuditInvariants(gp, graph, comp,
+                           disabled != nullptr ? &snap_mask : nullptr,
+                           snap_values, /*settled=*/true, why);
   }
   if (!BindingValid(gp, graph, comp, values)) {
     return fail("warm binding invalid (atom sequence, candidate count, or "

@@ -70,8 +70,9 @@ class WarmComponent {
   /// (entry checkpoint, all atoms undefined on entry, tape reset to
   /// undefined on abort). With `persist`, the table is the keep-all one
   /// and the instance is a reusable warm state; without it, this is the
-  /// cold recursive-component solve `SolveComponent` runs, and the
-  /// instance must not be resumed. False iff the pass aborted; the
+  /// cold recursive-component solve `SolveComponent` runs: no trail,
+  /// batches or binding state are recorded, and the instance must not be
+  /// resumed. False iff the pass aborted; the
   /// instance is then inconsistent and must be discarded.
   bool SolveFromScratch(const GroundProgram& gp,
                         const AtomDependencyGraph& graph, uint32_t comp,
@@ -105,12 +106,16 @@ class WarmComponent {
   /// and mask, for `check::SolverAuditor`: tracker/tape agreement, source
   /// pointers live and acyclic, live-rule counters equal to a from-scratch
   /// recount, snapshots reconciled, trail batches monotone with every
-  /// decision justified. Returns false and sets `*why` (when non-null) to
-  /// a one-line reason on the first violation.
+  /// decision justified. Without `settled` (the component is queued for
+  /// re-solve, so its inputs may have moved since its last reconcile) the
+  /// snapshots need not be reconciled, and every other check runs against
+  /// the external values and mask they record. Returns false and sets
+  /// `*why` (when non-null) to a one-line reason on the first violation.
   bool AuditInvariants(const GroundProgram& gp,
                        const AtomDependencyGraph& graph, uint32_t comp,
                        const std::vector<uint8_t>* disabled,
-                       const TruthTape& values, std::string* why) const;
+                       const TruthTape& values, bool settled,
+                       std::string* why) const;
 
   size_t atom_count() const { return atoms_.size(); }
   uint64_t resolves() const { return resolves_; }
@@ -133,6 +138,7 @@ class WarmComponent {
 
   std::unique_ptr<RuleTable> table_;     ///< keep-all compile
   std::unique_ptr<SourceTracker> support_;
+  bool persist_ = false;                 ///< trail and binding recorded
   std::vector<AtomId> atoms_;            ///< binding: the compiled sequence
   size_t candidate_count_ = 0;           ///< binding: gp rule count then
 

@@ -95,10 +95,13 @@ struct Scenario {
   }
 };
 
-void ExpectAuditClean(const IncrementalSolver& inc, const char* when, int k) {
+// Returns how many warm entries of pending components the audit checked.
+uint32_t ExpectAuditClean(const IncrementalSolver& inc, const char* when,
+                          int k) {
   check::AuditReport report = check::AuditSolver(inc);
   EXPECT_TRUE(report.ok())
       << when << " (trip at checkpoint " << k << "):\n" << report.ToString();
+  return report.warm_pending_entries_checked;
 }
 
 void ExpectRecoveredEqualsFresh(Scenario& s, int k) {
@@ -134,13 +137,15 @@ uint64_t CountCheckpoints(unsigned threads, uint32_t warm_min_atoms) {
 void ExhaustiveAbortRecovery(unsigned threads, uint32_t warm_min_atoms) {
   const uint64_t n = CountCheckpoints(threads, warm_min_atoms);
   ASSERT_GT(n, 0u);
+  uint32_t pending_warm_audited = 0;
   for (uint64_t k = 1; k <= n; ++k) {
     Scenario s(threads, warm_min_atoms);
     s.fault.Arm(k);
     s.Run();
     ASSERT_TRUE(s.fault.tripped())
         << "checkpoint " << k << " of " << n << " never fired";
-    ExpectAuditClean(*s.inc, "post-abort audit", static_cast<int>(k));
+    pending_warm_audited +=
+        ExpectAuditClean(*s.inc, "post-abort audit", static_cast<int>(k));
     // Recovery: stop injecting, clear the latched token, resume. The
     // remaining stale components re-solve; everything already finalized
     // is served from the memo.
@@ -148,6 +153,11 @@ void ExhaustiveAbortRecovery(unsigned threads, uint32_t warm_min_atoms) {
     s.token.Reset();
     ExpectRecoveredEqualsFresh(s, static_cast<int>(k));
     ExpectAuditClean(*s.inc, "post-recovery audit", static_cast<int>(k));
+  }
+  // Post-abort warm state is audited too: entries of the components the
+  // abort left queued are checked against the inputs they last saw.
+  if (warm_min_atoms == kWarmThreshold) {
+    EXPECT_GT(pending_warm_audited, 0u);
   }
 }
 
