@@ -10,12 +10,10 @@ namespace gsls {
 
 AtomId GroundProgram::InternAtom(const Term* atom) {
   assert(atom->ground());
-  auto it = atom_ids_.find(atom);
-  if (it != atom_ids_.end()) return it->second;
-  AtomId id = static_cast<AtomId>(atom_terms_.size());
-  atom_terms_.push_back(atom);
-  atom_ids_.emplace(atom, id);
-  return id;
+  auto [it, fresh] = atom_ids_.try_emplace(
+      atom, static_cast<AtomId>(atom_terms_.size()));
+  if (fresh) atom_terms_.push_back(atom);
+  return it->second;
 }
 
 std::optional<AtomId> GroundProgram::FindAtom(const Term* atom) const {
@@ -44,21 +42,36 @@ void NormalizeBody(GroundRule* rule) {
 }
 }  // namespace
 
-RuleId GroundProgram::AddRule(GroundRule rule) {
-  NormalizeBody(&rule);
-  uint64_t fp = RuleFingerprint(rule);
-  auto& bucket = rule_dedup_[fp];
-  for (RuleId id : bucket) {
+std::optional<RuleId> GroundProgram::FindInChain(const GroundRule& rule,
+                                                 RuleId id) const {
+  for (; id != kNoRule; id = rule_next_[id]) {
     const GroundRule& existing = rules_[id];
     if (existing.head == rule.head && existing.pos == rule.pos &&
         existing.neg == rule.neg) {
       return id;
     }
   }
+  return std::nullopt;
+}
+
+RuleId GroundProgram::AddRule(GroundRule rule) {
+  NormalizeBody(&rule);
   RuleId id = static_cast<RuleId>(rules_.size());
-  bucket.push_back(id);
+  auto [chain, fresh] = rule_dedup_.try_emplace(RuleFingerprint(rule), id);
+  if (!fresh) {
+    if (std::optional<RuleId> existing = FindInChain(rule, chain->second)) {
+      return *existing;
+    }
+  }
+  rule_next_.push_back(fresh ? kNoRule : chain->second);
+  chain->second = id;
   bool unit = rule.pos.empty() && rule.neg.empty();
-  if (unit) unit_rule_.emplace(rule.head, id);
+  if (unit) {
+    if (rule.head >= unit_rule_.size()) {
+      unit_rule_.resize(rule.head + 1, kNoRule);
+    }
+    unit_rule_[rule.head] = id;
+  }
   // AddRule requires exclusive access, so the state transitions are plain
   // stores. A rule over already-indexed atoms only appends to existing
   // rows, which queues a cheap merge — the hot path for both
@@ -86,23 +99,17 @@ RuleId GroundProgram::AddRule(GroundRule rule) {
 }
 
 std::optional<RuleId> GroundProgram::FindUnitRule(AtomId atom) const {
-  auto it = unit_rule_.find(atom);
-  if (it == unit_rule_.end()) return std::nullopt;
-  return it->second;
+  if (atom >= unit_rule_.size() || unit_rule_[atom] == kNoRule) {
+    return std::nullopt;
+  }
+  return unit_rule_[atom];
 }
 
 std::optional<RuleId> GroundProgram::FindRule(GroundRule rule) const {
   NormalizeBody(&rule);
   auto it = rule_dedup_.find(RuleFingerprint(rule));
   if (it == rule_dedup_.end()) return std::nullopt;
-  for (RuleId id : it->second) {
-    const GroundRule& existing = rules_[id];
-    if (existing.head == rule.head && existing.pos == rule.pos &&
-        existing.neg == rule.neg) {
-      return id;
-    }
-  }
-  return std::nullopt;
+  return FindInChain(rule, it->second);
 }
 
 void GroundProgram::RebuildOccurrenceIndex() const {

@@ -127,15 +127,24 @@ class GroundProgram {
   /// `sync_->mu`.
   void MergePendingRows() const;
   void RebuildOccurrenceIndex() const;  ///< caller holds `sync_->mu`
+  /// The rule equal to the normalized `rule` on the dedup chain that
+  /// starts at `id`, if any.
+  std::optional<RuleId> FindInChain(const GroundRule& rule, RuleId id) const;
 
   TermStore* store_;
   std::vector<const Term*> atom_terms_;
   std::unordered_map<const Term*, AtomId> atom_ids_;
   std::vector<GroundRule> rules_;
-  std::unordered_map<uint64_t, std::vector<RuleId>> rule_dedup_;
-  /// Unit rule per atom (at most one exists: `AddRule` deduplicates).
-  /// Maintained eagerly so fact deltas never touch the lazy index.
-  std::unordered_map<AtomId, RuleId> unit_rule_;
+  /// Dedup index: rule fingerprint -> most recent rule with it, the rest
+  /// chained through `rule_next_` (parallel to `rules_`; `kNoRule` ends a
+  /// chain), so adding a rule allocates no per-rule bucket.
+  std::unordered_map<uint64_t, RuleId> rule_dedup_;
+  std::vector<RuleId> rule_next_;
+  static constexpr RuleId kNoRule = UINT32_MAX;
+  /// Unit rule per atom (at most one exists: `AddRule` deduplicates),
+  /// `kNoRule` for none; atoms past the end have none. Maintained eagerly
+  /// so fact deltas never touch the lazy index.
+  std::vector<RuleId> unit_rule_;
 
   // Lazy flat occurrence index (see `RulesFor`). Boxed synchronization
   // keeps `GroundProgram` movable (a moved-from program is unusable, and

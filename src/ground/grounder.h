@@ -4,6 +4,7 @@
 #include "ground/ground_program.h"
 #include "ground/herbrand.h"
 #include "lang/program.h"
+#include "util/cancel.h"
 #include "util/status.h"
 
 namespace gsls {
@@ -34,8 +35,14 @@ struct GroundingOptions {
 /// For function-free programs with `max_term_depth == 1` this is exact:
 /// the well-founded model of the result, extended with falsehood for all
 /// unregistered atoms, is the well-founded model of `program`.
+///
+/// `cancel` (optional) is polled every `kCancelStride` derived atoms and
+/// emitted instances for its token and deadline (`CancelCtx::Poll`); a
+/// fired token returns `kCancelled`, a passed deadline
+/// `kDeadlineExceeded`. Null keeps the run free of polling.
 Result<GroundProgram> GroundRelevant(const Program& program,
-                                     const GroundingOptions& opts);
+                                     const GroundingOptions& opts,
+                                     const CancelCtx* cancel = nullptr);
 
 /// The brute-force Herbrand instantiation (Def. 1.5) over the bounded
 /// universe: every clause instantiated in every possible way. Exponential;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "lang/lexer.h"
+#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace gsls {
@@ -188,6 +189,7 @@ class Parser {
 }  // namespace
 
 Result<Program> ParseProgram(TermStore& store, std::string_view src) {
+  GSLS_TRACE_SPAN("lang.parse", src.size());
   Result<std::vector<Token>> tokens = Lex(src);
   if (!tokens.ok()) return tokens.status();
   Parser parser(store, std::move(tokens.value()));

@@ -44,7 +44,11 @@ Result<Session> Session::Open(const Program& program, SessionOptions opts) {
     // the layer's serve.* channels unless the caller split them.
     opts.serve.telemetry = sopts.telemetry;
   }
-  Result<GroundProgram> gp = GroundRelevant(program, opts.grounding);
+  // Grounding honours the token and the deadline; the step budget and
+  // fault injection stay per solve pass.
+  CancelCtx ctx(sopts.cancel, sopts.deadline_ns, 0, nullptr);
+  const CancelCtx* cancel = ctx.active() ? &ctx : nullptr;
+  Result<GroundProgram> gp = GroundRelevant(program, opts.grounding, cancel);
   if (!gp.ok()) return gp.status();
   auto solver =
       std::make_unique<IncrementalSolver>(std::move(gp.value()), sopts);

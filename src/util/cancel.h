@@ -182,6 +182,20 @@ class CancelCtx {
     return false;
   }
 
+  /// Reads the token and the deadline only: nothing is latched, no step
+  /// is counted and the fault injector is not consulted. The cancel point
+  /// of work outside a solve pass (grounding), which the step budget and
+  /// the fault injector's checkpoint numbering do not cover.
+  SolveOutcome Poll() const {
+    if (token_ != nullptr && token_->IsCancelled()) {
+      return SolveOutcome::kCancelled;
+    }
+    if (deadline_ns_ != 0 && SteadyNowNs() >= deadline_ns_) {
+      return SolveOutcome::kDeadlineExceeded;
+    }
+    return SolveOutcome::kCompleted;
+  }
+
   /// One relaxed load; true iff some checkpoint latched a stop outcome
   /// this pass.
   bool aborted() const {

@@ -11,11 +11,13 @@
 #include "core/engine.h"
 #include "core/tabled.h"
 #include "obs/metrics.h"
+#include "serve/session.h"
 #include "solver/incremental.h"
 #include "solver/solver.h"
 #include "test_support.h"
 #include "util/cancel.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -306,6 +308,52 @@ TEST(AuditTest, BeforeFirstSolveIsVacuouslyClean) {
   check::AuditReport report = check::AuditSolver(inc);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.components_checked, 0u);
+}
+
+// Grounding honours the token and the deadline of `Session::Open`; a
+// grid of 6,816 atoms passes many poll strides.
+TEST(SessionOpenCancelTest, PreCancelledTokenStopsGrounding) {
+  Fixture f(workload::GameGrid(48, 48));
+  CancelToken token;
+  token.Cancel();
+  SessionOptions opts;
+  opts.solver.cancel = &token;
+  Result<Session> s = Session::Open(f.program, opts);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kCancelled) << s.status().ToString();
+}
+
+TEST(SessionOpenCancelTest, ExpiredDeadlineStopsGrounding) {
+  Fixture f(workload::GameGrid(48, 48));
+  SessionOptions opts;
+  opts.solver.deadline_ns = 1;
+  Result<Session> s = Session::Open(f.program, opts);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kDeadlineExceeded)
+      << s.status().ToString();
+}
+
+TEST(SessionOpenCancelTest, DetachedOpenIsUnchanged) {
+  Fixture f(workload::GameGrid(48, 48));
+  Result<Session> s = Session::Open(f.program, SessionOptions{});
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  GroundProgram reference = MustGround(f.program);
+  EXPECT_EQ(s->solver().program().ToString(), reference.ToString());
+  EXPECT_EQ(s->solver().Model().model, SolveWfs(reference).model);
+}
+
+// The step budget and fault injection count solve-pass checkpoints only,
+// so grounding ignores them and the fault test's numbering stays put.
+TEST(GroundCancelTest, StepBudgetAndFaultDoNotStopGrounding) {
+  Fixture f(workload::GameGrid(16, 16));
+  FaultInjector fault;
+  fault.Arm(1);
+  CancelCtx ctx(nullptr, 0, /*step_budget=*/1, &fault);
+  Result<GroundProgram> gp =
+      GroundRelevant(f.program, GroundingOptions{}, &ctx);
+  ASSERT_TRUE(gp.ok()) << gp.status().ToString();
+  EXPECT_EQ(gp->ToString(), MustGround(f.program).ToString());
+  EXPECT_EQ(fault.checkpoints(), 0u);
 }
 
 TEST(SolveOutcomeTest, Names) {

@@ -322,6 +322,24 @@ TEST(TraceTest, DisabledRecorderBuffersNothing) {
   EXPECT_EQ(rec.event_count(), before);
 }
 
+TEST(TraceTest, FrontEndSpansRecord) {
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Clear();
+  rec.Enable();
+  TermStore store;
+  Result<Program> program =
+      ParseProgram(store, "win(X) :- move(X, Y), not win(Y). move(a, b).");
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(GroundRelevant(*program, GroundingOptions{}).ok());
+  rec.Disable();
+  std::ostringstream os;
+  rec.WriteChromeTrace(os);
+  std::string json = os.str();
+  EXPECT_NE(json.find("\"lang.parse\""), std::string::npos);
+  EXPECT_NE(json.find("\"ground.relevant\""), std::string::npos);
+  rec.Clear();
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry invariance of the incremental solver across thread counts
 

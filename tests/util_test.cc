@@ -29,7 +29,8 @@ TEST(StatusTest, AllCodesHaveNames) {
   for (StatusCode c :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
         StatusCode::kFailedPrecondition, StatusCode::kResourceExhausted,
-        StatusCode::kUnimplemented, StatusCode::kInternal}) {
+        StatusCode::kUnimplemented, StatusCode::kInternal,
+        StatusCode::kCancelled, StatusCode::kDeadlineExceeded}) {
     EXPECT_NE(std::string(StatusCodeName(c)), "Unknown");
   }
 }
